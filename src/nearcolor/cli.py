@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from typing import Iterable
 
 from .coloring import RuleMode
 from .errors import (
@@ -44,8 +45,8 @@ from .graph import (
     wheel,
 )
 from .io import load_graph, write_dot, write_edge_list
-from .solver import SolverConfig, greedy_heuristic, solve
-from .verify import has_hard_mismatch, run_suites
+from .solver import DEFAULT_ENUM_CAP, SolverConfig, greedy_heuristic, solve
+from .verify import CheckRow, has_hard_mismatch, run_suites
 
 _SIMPLE_FAMILIES = {
     "path": lambda n: path(n),
@@ -77,16 +78,22 @@ def parse_family_spec(spec: str) -> Graph:
 
 
 def _parse_simple_spec(spec: str) -> Graph:
-    spec = spec.strip()
+    name, n = _split_spec(spec.strip(), _SIMPLE_FAMILIES)
+    return _SIMPLE_FAMILIES[name](n)
+
+
+def _split_spec(spec: str, names: Iterable[str] | None = None) -> tuple[str, int]:
+    """Split ``name:n``; with ``names`` given, the name must be one of them."""
     name, sep, arg = spec.partition(":")
-    if not sep or name not in _SIMPLE_FAMILIES:
-        known = ", ".join(sorted(_SIMPLE_FAMILIES))
+    if names is not None and (not sep or name not in names):
+        known = ", ".join(sorted(names))
         raise InvalidParameterError(f"unknown family spec {spec!r} (expected one of {known}, as name:n)")
+    if not sep:
+        raise InvalidParameterError(f"expected name:n, got {spec!r}")
     try:
-        n = int(arg)
+        return name, int(arg)
     except ValueError:
         raise InvalidParameterError(f"family parameter must be an integer, got {arg!r}")
-    return _SIMPLE_FAMILIES[name](n)
 
 
 def _load_input(args: argparse.Namespace) -> Graph:
@@ -116,7 +123,6 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rule", choices=[m.value for m in RuleMode], default=RuleMode.ONE_CLASS.value)
     sub.add_argument("--allow-unused", action="store_true", help="do not require every color to be used")
     sub.add_argument("--cap", type=int, default=None, help="enumeration size cap override")
-    sub.add_argument("--workers", type=int, default=1, help="worker hint (search is deterministic regardless)")
     sub.add_argument("--require-connected", action="store_true")
     sub.add_argument("--json", action="store_true")
 
@@ -210,9 +216,8 @@ def _cmd_solve(args: argparse.Namespace, counting: bool) -> int:
     surjective = not args.allow_unused
     _warn_if_k_not_below_chromatic(g, args.k)
     config = SolverConfig(
-        enum_cap=args.cap if args.cap else SolverConfig().enum_cap,
+        enum_cap=DEFAULT_ENUM_CAP if args.cap is None else args.cap,
         count_optimal=counting,
-        workers=args.workers,
     )
     start = time.perf_counter()
     if getattr(args, "heuristic", False):
@@ -229,13 +234,7 @@ def _cmd_solve(args: argparse.Namespace, counting: bool) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    name, sep, arg = args.family.partition(":")
-    if not sep:
-        raise InvalidParameterError(f"expected name:n, got {args.family!r}")
-    try:
-        n = int(arg)
-    except ValueError:
-        raise InvalidParameterError(f"family parameter must be an integer, got {arg!r}")
+    name, n = _split_spec(args.family)
     defaults = {"path": 1, "cycle": 2}
     k = args.k if args.k is not None else defaults.get(name)
     if k is None:
@@ -268,13 +267,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    name, sep, arg = args.family.partition(":")
-    if not sep:
-        raise InvalidParameterError(f"expected name:n, got {args.family!r}")
-    try:
-        n = int(arg)
-    except ValueError:
-        raise InvalidParameterError(f"family parameter must be an integer, got {arg!r}")
+    name, n = _split_spec(args.family)
     if name == "cycle":
         if args.bad is None:
             raise InvalidParameterError("--bad is required for cycle defect polynomials")
@@ -339,15 +332,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if bad else 0
 
 
-class _Header:
-    case = "case"
-    params = "params"
-    claimed = "claimed"
-    computed = "computed"
-    status = "status"
-
-
-_HEADER = _Header()
+_HEADER = CheckRow("case", "params", "claimed", "computed", "status")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

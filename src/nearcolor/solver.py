@@ -6,19 +6,22 @@ scans every assignment and is the ground truth the test suite is built on;
 oracle exactly on the minimum, the count of optimal colorings, and the
 lexicographically smallest witness.
 
-``solve`` works in two phases.  The bound phase visits vertices in static
-degree-descending order and prunes on the incumbent; the reconstruction
-phase re-walks the tree in vertex-index order with the proven optimum as the
+One search kernel, ``_search``, serves every exact entry point (``solve``,
+``count_optimal``, ``optimal_colorings``, ``minimum_color_usage``), run in
+two vertex orders.  The bound phase visits vertices in static
+degree-descending order and prunes on the incumbent; the optimum walk
+re-walks the tree in vertex-index order with the proven optimum as the
 bound, so the first leaf reached is the lexicographically smallest witness
-and (when counting) every optimum is visited exactly once.  Results are
-deterministic and independent of the ``workers`` hint.
+and (when counting) every optimum is visited exactly once.  Every exact entry
+point rejects instances whose k**n search space exceeds the cap with
+:class:`SizeLimitError`.  Results are deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .coloring import Coloring, RuleMode, bad_edges
 from .errors import InfeasibleError, InvalidParameterError, SizeLimitError
@@ -29,21 +32,14 @@ DEFAULT_ENUM_CAP = 10**8
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search knobs; defaults match the documented limits.
-
-    ``workers`` is a scheduling hint only: the search itself runs
-    sequentially, which makes determinism trivial to honor.
-    """
+    """Search knobs; defaults match the documented limits."""
 
     enum_cap: int = DEFAULT_ENUM_CAP
     count_optimal: bool = False
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.enum_cap < 1:
             raise InvalidParameterError("enumeration cap must be positive")
-        if self.workers < 1:
-            raise InvalidParameterError("worker hint must be positive")
 
 
 @dataclass(frozen=True)
@@ -133,107 +129,97 @@ def enumerate_oracle(
     )
 
 
-def _branch_and_bound_min(g: Graph, k: int, rule: RuleMode, surjective: bool) -> int:
-    """Minimum bad-edge count by DFS over vertices in degree-descending order."""
-    n = g.n
-    one_class = rule is RuleMode.ONE_CLASS
-    order = sorted(range(n), key=lambda v: (-len(g.adj[v]), v))
-    pos_of = [0] * n
-    for i, v in enumerate(order):
-        pos_of[v] = i
-    earlier = [
-        tuple(pos_of[u] for u in g.adj[v] if pos_of[u] < i)
-        for i, v in enumerate(order)
-    ]
-    color_at = [0] * n
-    usage = [0] * (k + 1)
-    class_dirty = [False] * (k + 1)
-    best = g.m + 1  # any valid coloring has at most m bad edges
+def _search(
+    g: Graph,
+    k: int,
+    rule: RuleMode,
+    surjective: bool,
+    order: Sequence[int],
+    bound: int,
+    leaf: Callable[[list[int], int], int],
+) -> None:
+    """DFS over assignments, vertices in ``order`` and colors ascending.
 
-    def dfs(i: int, bad: int, used: int, dirty_classes: int) -> None:
-        nonlocal best
-        if i == n:
-            if (not surjective or used == k) and bad < best:
-                best = bad
-            return
-        if surjective and k - used > n - i:
-            return
-        for c in range(1, k + 1):
-            conflicts = 0
-            for j in earlier[i]:
-                if color_at[j] == c:
-                    conflicts += 1
-            nb = bad + conflicts
-            if nb >= best:
-                continue
-            opened = False
-            nd = dirty_classes
-            if conflicts and not class_dirty[c]:
-                if one_class and dirty_classes >= 1:
-                    continue
-                class_dirty[c] = True
-                opened = True
-                nd += 1
-            color_at[i] = c
-            usage[c] += 1
-            dfs(i + 1, nb, used + (1 if usage[c] == 1 else 0), nd)
-            usage[c] -= 1
-            color_at[i] = 0
-            if opened:
-                class_dirty[c] = False
-
-    dfs(0, 0, 0, 0)
-    return best
-
-
-def _iter_optimal_assignments(
-    g: Graph, k: int, rule: RuleMode, surjective: bool, target: int
-) -> Iterator[tuple[int, ...]]:
-    """Yield every valid assignment with exactly ``target`` bad edges.
-
-    DFS in vertex-index order with colors ascending, so assignments come out
-    in lexicographic order.  Pruning only discards subtrees that provably
-    contain no valid assignment at ``target``.
+    A branch is cut when its bad-edge count exceeds ``bound``, when it can no
+    longer use all k colors (surjective) or when it would make a second class
+    dirty (one-class rule).  Each valid complete assignment goes to
+    ``leaf(colors, bad)`` as the search's own list, indexed by vertex, which a
+    leaf must copy to keep.  The leaf's return value is the new bound; a
+    negative bound cuts every remaining branch.
     """
     n = g.n
     one_class = rule is RuleMode.ONE_CLASS
-    earlier = [tuple(u for u in g.adj[v] if u < v) for v in range(n)]
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    earlier = [tuple(u for u in g.adj[v] if pos[u] < i) for i, v in enumerate(order)]
     colors = [0] * n
     usage = [0] * (k + 1)
-    class_dirty = [False] * (k + 1)
 
-    def dfs(v: int, bad: int, used: int, dirty_classes: int) -> Iterator[tuple[int, ...]]:
-        if v == n:
-            if bad == target and (not surjective or used == k):
-                yield tuple(colors)
+    def dfs(i: int, bad: int, used: int, dirty: int) -> None:
+        # ``dirty`` is the one class allowed to hold a bad edge; 0 = none yet.
+        nonlocal bound
+        if i == n:
+            if not surjective or used == k:
+                bound = leaf(colors, bad)
             return
-        if surjective and k - used > n - v:
+        if surjective and k - used > n - i:
             return
+        v = order[i]
         for c in range(1, k + 1):
             conflicts = 0
-            for u in earlier[v]:
+            for u in earlier[i]:
                 if colors[u] == c:
                     conflicts += 1
             nb = bad + conflicts
-            if nb > target:
+            if nb > bound:
                 continue
-            opened = False
-            nd = dirty_classes
-            if conflicts and not class_dirty[c]:
-                if one_class and dirty_classes >= 1:
+            nd = dirty
+            if conflicts and one_class:
+                if dirty and dirty != c:
                     continue
-                class_dirty[c] = True
-                opened = True
-                nd += 1
+                nd = c
             colors[v] = c
             usage[c] += 1
-            yield from dfs(v + 1, nb, used + (1 if usage[c] == 1 else 0), nd)
+            dfs(i + 1, nb, used + (1 if usage[c] == 1 else 0), nd)
             usage[c] -= 1
-            colors[v] = 0
-            if opened:
-                class_dirty[c] = False
 
-    yield from dfs(0, 0, 0, 0)
+    dfs(0, 0, 0, 0)
+
+
+def _optimum(
+    g: Graph,
+    k: int,
+    rule: RuleMode,
+    surjective: bool,
+    cap: int,
+    leaf: Callable[[list[int], int], int],
+) -> int:
+    """Proven minimum bad-edge count; ``leaf`` sees the optima in lexicographic order.
+
+    Rejects the instance if it is invalid or its k**n search space exceeds
+    ``cap``.  The bound phase walks vertices in degree-descending order and
+    tightens the bound to one below each incumbent.  The optimum walk then
+    runs in vertex-index order with the minimum as a fixed bound, so every
+    leaf it reaches is optimal; ``leaf`` returns that bound to go on, or -1
+    to stop.
+    """
+    _check_instance(g, k, surjective)
+    if k**g.n > cap:
+        raise SizeLimitError(f"search space of {k}**{g.n} assignments exceeds cap {cap}")
+    best = -1
+
+    def improve(colors: list[int], bad: int) -> int:
+        nonlocal best
+        best = bad
+        return bad - 1
+
+    degree_order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    _search(g, k, rule, surjective, degree_order, g.m, improve)
+    if best < 0:  # pragma: no cover - every checked instance has a valid coloring
+        raise InfeasibleError("no valid coloring exists for this instance")
+    _search(g, k, rule, surjective, range(g.n), best, leaf)
+    return best
 
 
 def solve(
@@ -251,26 +237,23 @@ def solve(
     """
     rule = RuleMode(rule)
     cfg = config or SolverConfig()
-    _check_instance(g, k, surjective)
-    if k**g.n > cfg.enum_cap:
-        raise SizeLimitError(
-            f"search space of {k}**{g.n} assignments exceeds cap {cfg.enum_cap}"
-        )
-    best = _branch_and_bound_min(g, k, rule, surjective)
-    it = _iter_optimal_assignments(g, k, rule, surjective, best)
-    try:
-        first = next(it)
-    except StopIteration:  # pragma: no cover - the bound phase proves existence
-        raise InfeasibleError("no valid coloring exists for this instance")
-    count: int | None = None
-    if cfg.count_optimal:
-        count = 1 + sum(1 for _ in it)
+    witness: list[tuple[int, ...]] = []
+    count = 0
+
+    def visit(colors: list[int], bad: int) -> int:
+        nonlocal count
+        if not witness:
+            witness.append(tuple(colors))
+        count += 1
+        return bad if cfg.count_optimal else -1
+
+    best = _optimum(g, k, rule, surjective, cfg.enum_cap, visit)
     return SolveResult(
         min_bad=best,
-        witness=Coloring(first, k),
+        witness=Coloring(witness[0], k),
         rule=rule,
         surjective=surjective,
-        optimal_count=count,
+        optimal_count=count if cfg.count_optimal else None,
     )
 
 
@@ -292,11 +275,19 @@ def optimal_colorings(
     rule: RuleMode | str = RuleMode.ONE_CLASS,
     surjective: bool = True,
 ) -> Iterator[Coloring]:
-    """All optimal colorings in lexicographic assignment order."""
-    rule = RuleMode(rule)
-    _check_instance(g, k, surjective)
-    best = _branch_and_bound_min(g, k, rule, surjective)
-    for assign in _iter_optimal_assignments(g, k, rule, surjective, best):
+    """All optimal colorings in lexicographic assignment order.
+
+    The search runs to completion, under the default cap, before the first
+    coloring is yielded.
+    """
+    optima: list[tuple[int, ...]] = []
+
+    def collect(colors: list[int], bad: int) -> int:
+        optima.append(tuple(colors))
+        return bad
+
+    _optimum(g, k, RuleMode(rule), surjective, DEFAULT_ENUM_CAP, collect)
+    for assign in optima:
         yield Coloring(assign, k)
 
 
@@ -320,27 +311,23 @@ def minimum_color_usage(
     Deterministic: colorings are scanned in lexicographic order and ties go
     to the smallest color, so the returned witness is the first attaining
     pair.  With surjectivity off the minimum may be 0 (an unused color).
+    Instances beyond the default cap raise :class:`SizeLimitError`.
     """
-    rule = RuleMode(rule)
-    _check_instance(g, k, surjective)
-    best_value: int | None = None
-    best_color = 0
-    best_witness: tuple[int, ...] | None = None
-    target = _branch_and_bound_min(g, k, rule, surjective)
-    for assign in _iter_optimal_assignments(g, k, rule, surjective, target):
+    best: MinUsage | None = None
+
+    def visit(colors: list[int], bad: int) -> int:
+        nonlocal best
         counts = [0] * (k + 1)
-        for c in assign:
+        for c in colors:
             counts[c] += 1
         value = min(counts[1:])
-        if best_value is None or value < best_value:
-            best_value = value
-            best_color = counts.index(value, 1)
-            best_witness = assign
-            if best_value == 0:
-                break
-    if best_witness is None or best_value is None:  # pragma: no cover
-        raise InfeasibleError("no valid coloring exists for this instance")
-    return MinUsage(best_value, best_color, Coloring(best_witness, k))
+        if best is None or value < best.value:
+            best = MinUsage(value, counts.index(value, 1), Coloring(tuple(colors), k))
+        return -1 if value == 0 else bad
+
+    _optimum(g, k, RuleMode(rule), surjective, DEFAULT_ENUM_CAP, visit)
+    assert best is not None
+    return best
 
 
 def bad_edge_vertex_cover(g: Graph, coloring: Coloring) -> tuple[int, ...]:

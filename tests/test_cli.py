@@ -90,6 +90,12 @@ def test_cap_exceeded_exits_3(capsys):
     assert code == 3
 
 
+def test_cap_zero_is_rejected(capsys):
+    code, _, err = run(capsys, "solve", "--family", "cycle:5", "--k", "2", "--cap", "0")
+    assert code == 2
+    assert "cap must be positive" in err
+
+
 def test_infeasible_surjective_exits_2(capsys):
     code, _, err = run(capsys, "solve", "--family", "path:2", "--k", "3")
     assert code == 2
@@ -102,6 +108,9 @@ def test_poly_subcommands(capsys):
     code, out, _ = run(capsys, "poly", "--family", "complete:4", "--lambda", "3", "--k", "3", "--json")
     assert code == 0
     assert json.loads(out)["value"] == 36
+    for spec in ("cycle", "cycle:x"):
+        code, _, _ = run(capsys, "poly", "--family", spec, "--lambda", "2", "--bad", "1")
+        assert code == 2
 
 
 def test_family_subcommand(capsys):
@@ -111,6 +120,9 @@ def test_family_subcommand(capsys):
     assert (payload["min_bad"], payload["claimed_count"]) == (1, 240)
     code, out, _ = run(capsys, "family", "--family", "cycle:9", "--json")
     assert json.loads(out)["claimed_count"] == 18
+    for spec in ("cycle", "cycle:x"):
+        code, _, _ = run(capsys, "family", "--family", spec)
+        assert code == 2
 
 
 def test_bounds_subcommand(capsys):

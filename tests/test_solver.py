@@ -100,13 +100,17 @@ def test_solve_agrees_with_oracle_on_seeded_instances():
                         s.optimal_count,
                         s.witness,
                     )
+                    optima = [c.assignment for c in optimal_colorings(g, k, rule, surjective)]
+                    assert optima == sorted(optima)
+                    assert len(optima) == o.optimal_count
+                    assert optima[0] == o.witness.assignment
 
 
-def test_solve_is_deterministic_and_independent_of_worker_hint():
+def test_solve_is_deterministic():
     g = random_connected_graph(random.Random(5), 8)
     results = [
-        solve(g, 2, RuleMode.ONE_CLASS, True, SolverConfig(count_optimal=True, workers=w))
-        for w in (1, 2, 8)
+        solve(g, 2, RuleMode.ONE_CLASS, True, SolverConfig(count_optimal=True))
+        for _ in range(3)
     ]
     assert all(r == results[0] for r in results)
 
@@ -134,6 +138,16 @@ def test_infeasible_and_invalid_parameters():
 def test_enumeration_cap():
     with pytest.raises(SizeLimitError):
         enumerate_oracle(complete(10), 4, cap=1000)
+
+
+def test_every_exact_entry_point_honours_the_cap():
+    g = complete(27)  # 2**27 assignments exceed the default cap
+    with pytest.raises(SizeLimitError):
+        solve(g, 2)
+    with pytest.raises(SizeLimitError):
+        list(optimal_colorings(g, 2))
+    with pytest.raises(SizeLimitError):
+        minimum_color_usage(g, 2)
 
 
 def test_minimum_color_usage_values():
