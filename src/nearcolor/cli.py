@@ -235,24 +235,24 @@ def _cmd_solve(args: argparse.Namespace, counting: bool) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     name, n = _split_spec(args.family)
+    builders = {
+        "path": lambda k: path_formula(n),
+        "cycle": lambda k: odd_cycle_formula(n),
+        "wheel": lambda k: wheel_formula(n, k),
+        "helm": lambda k: helm_formula(n, k),
+        "complete": lambda k: complete_formula(n, k),
+    }
+    if name not in builders:
+        raise InvalidParameterError(f"unknown family {name!r}")
     defaults = {"path": 1, "cycle": 2}
     k = args.k if args.k is not None else defaults.get(name)
     if k is None:
         raise InvalidParameterError(f"--k is required for family {name!r}")
-    builders = {
-        "path": lambda: path_formula(n),
-        "cycle": lambda: odd_cycle_formula(n),
-        "wheel": lambda: wheel_formula(n, k),
-        "helm": lambda: helm_formula(n, k),
-        "complete": lambda: complete_formula(n, k),
-    }
-    if name not in builders:
-        raise InvalidParameterError(f"unknown family {name!r}")
     if name == "path" and k != 1:
         raise InvalidParameterError("the path closed form is for a single color (k=1)")
     if name == "cycle" and k != 2:
         raise InvalidParameterError("the cycle closed form is for two colors (k=2)")
-    claim = builders[name]()
+    claim = builders[name](k)
     payload = {
         "family": claim.family,
         "n": claim.n,

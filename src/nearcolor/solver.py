@@ -12,14 +12,26 @@ two vertex orders.  The bound phase visits vertices in static
 degree-descending order and prunes on the incumbent; the optimum walk
 re-walks the tree in vertex-index order with the proven optimum as the
 bound, so the first leaf reached is the lexicographically smallest witness
-and (when counting) every optimum is visited exactly once.  Every exact entry
-point rejects instances whose k**n search space exceeds the cap with
+and (when counting) every canonical optimum is visited exactly once.
+
+The kernel breaks color symmetry: a vertex may only take a color at most
+one above the number of colors its prefix uses, so the colors in use are
+always ``1..used`` in order of first appearance.  Renaming colors keeps the
+bad-edge count, one-class validity and surjectivity, so every class of
+color relabelings keeps exactly one canonical member and the minimum is
+unchanged.  Relabeling an optimum by first appearance never makes it
+lexicographically larger, so the smallest optimum is canonical and stays
+the first leaf of the index-order walk.  A canonical optimum using ``j``
+colors stands for ``math.perm(k, j)`` labeled optima, which is how counts
+and the full list of optima are formed.  Every exact entry point rejects
+instances whose k**n search space exceeds the cap with
 :class:`SizeLimitError`.  Results are deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -136,16 +148,20 @@ def _search(
     surjective: bool,
     order: Sequence[int],
     bound: int,
-    leaf: Callable[[list[int], int], int],
+    leaf: Callable[[list[int], int, int], int],
 ) -> None:
-    """DFS over assignments, vertices in ``order`` and colors ascending.
+    """DFS over canonical assignments, vertices in ``order`` and colors ascending.
 
-    A branch is cut when its bad-edge count exceeds ``bound``, when it can no
-    longer use all k colors (surjective) or when it would make a second class
-    dirty (one-class rule).  Each valid complete assignment goes to
-    ``leaf(colors, bad)`` as the search's own list, indexed by vertex, which a
-    leaf must copy to keep.  The leaf's return value is the new bound; a
-    negative bound cuts every remaining branch.
+    A vertex takes only colors ``<= used + 1``, where ``used`` counts the
+    distinct colors of the prefix, so the colors in use are ``1..used`` in
+    order of first appearance along ``order``: one assignment per class of
+    color relabelings.  A branch is cut when its bad-edge count exceeds
+    ``bound``, when it can no longer use all k colors (surjective) or when it
+    would make a second class dirty (one-class rule).  Each valid complete
+    assignment goes to ``leaf(colors, bad, used)`` as the search's own list,
+    indexed by vertex, which a leaf must copy to keep; it stands for
+    ``math.perm(k, used)`` labeled assignments.  The leaf's return value is
+    the new bound; a negative bound cuts every remaining branch.
     """
     n = g.n
     one_class = rule is RuleMode.ONE_CLASS
@@ -154,19 +170,18 @@ def _search(
         pos[v] = i
     earlier = [tuple(u for u in g.adj[v] if pos[u] < i) for i, v in enumerate(order)]
     colors = [0] * n
-    usage = [0] * (k + 1)
 
     def dfs(i: int, bad: int, used: int, dirty: int) -> None:
         # ``dirty`` is the one class allowed to hold a bad edge; 0 = none yet.
         nonlocal bound
         if i == n:
             if not surjective or used == k:
-                bound = leaf(colors, bad)
+                bound = leaf(colors, bad, used)
             return
         if surjective and k - used > n - i:
             return
         v = order[i]
-        for c in range(1, k + 1):
+        for c in range(1, min(used + 1, k) + 1):
             conflicts = 0
             for u in earlier[i]:
                 if colors[u] == c:
@@ -180,9 +195,7 @@ def _search(
                     continue
                 nd = c
             colors[v] = c
-            usage[c] += 1
-            dfs(i + 1, nb, used + (1 if usage[c] == 1 else 0), nd)
-            usage[c] -= 1
+            dfs(i + 1, nb, used + (c > used), nd)
 
     dfs(0, 0, 0, 0)
 
@@ -193,9 +206,9 @@ def _optimum(
     rule: RuleMode,
     surjective: bool,
     cap: int,
-    leaf: Callable[[list[int], int], int],
+    leaf: Callable[[list[int], int, int], int],
 ) -> int:
-    """Proven minimum bad-edge count; ``leaf`` sees the optima in lexicographic order.
+    """Proven minimum bad-edge count; ``leaf`` sees the canonical optima in order.
 
     Rejects the instance if it is invalid or its k**n search space exceeds
     ``cap``.  The bound phase walks vertices in degree-descending order and
@@ -209,7 +222,7 @@ def _optimum(
         raise SizeLimitError(f"search space of {k}**{g.n} assignments exceeds cap {cap}")
     best = -1
 
-    def improve(colors: list[int], bad: int) -> int:
+    def improve(colors: list[int], bad: int, used: int) -> int:
         nonlocal best
         best = bad
         return bad - 1
@@ -240,11 +253,11 @@ def solve(
     witness: list[tuple[int, ...]] = []
     count = 0
 
-    def visit(colors: list[int], bad: int) -> int:
+    def visit(colors: list[int], bad: int, used: int) -> int:
         nonlocal count
         if not witness:
             witness.append(tuple(colors))
-        count += 1
+        count += math.perm(k, used)
         return bad if cfg.count_optimal else -1
 
     best = _optimum(g, k, rule, surjective, cfg.enum_cap, visit)
@@ -277,16 +290,20 @@ def optimal_colorings(
 ) -> Iterator[Coloring]:
     """All optimal colorings in lexicographic assignment order.
 
-    The search runs to completion, under the default cap, before the first
-    coloring is yielded.
+    Each canonical optimum from the search is expanded into its labeled
+    copies, one per injective renaming of its colors into ``1..k``.  The
+    search and the expansion run to completion, under the default cap,
+    before the first coloring is yielded.
     """
     optima: list[tuple[int, ...]] = []
 
-    def collect(colors: list[int], bad: int) -> int:
-        optima.append(tuple(colors))
+    def collect(colors: list[int], bad: int, used: int) -> int:
+        for names in itertools.permutations(range(1, k + 1), used):
+            optima.append(tuple(names[c - 1] for c in colors))
         return bad
 
     _optimum(g, k, RuleMode(rule), surjective, DEFAULT_ENUM_CAP, collect)
+    optima.sort()
     for assign in optima:
         yield Coloring(assign, k)
 
@@ -314,18 +331,15 @@ def minimum_color_usage(
     Instances beyond the default cap raise :class:`SizeLimitError`.
     """
     best: MinUsage | None = None
-
-    def visit(colors: list[int], bad: int) -> int:
-        nonlocal best
+    for coloring in optimal_colorings(g, k, rule, surjective):
         counts = [0] * (k + 1)
-        for c in colors:
+        for c in coloring.assignment:
             counts[c] += 1
         value = min(counts[1:])
         if best is None or value < best.value:
-            best = MinUsage(value, counts.index(value, 1), Coloring(tuple(colors), k))
-        return -1 if value == 0 else bad
-
-    _optimum(g, k, RuleMode(rule), surjective, DEFAULT_ENUM_CAP, visit)
+            best = MinUsage(value, counts.index(value, 1), coloring)
+            if value == 0:
+                break
     assert best is not None
     return best
 

@@ -125,6 +125,12 @@ def test_family_subcommand(capsys):
         assert code == 2
 
 
+def test_family_unknown_name_is_named_before_k(capsys):
+    code, _, err = run(capsys, "family", "--family", "foo:5")
+    assert code == 2
+    assert "unknown family 'foo'" in err
+
+
 def test_bounds_subcommand(capsys):
     code, out, _ = run(capsys, "bounds", "--op", "join", "--left", "complete:3", "--right", "complete:3", "--k", "2", "--json")
     assert code == 0

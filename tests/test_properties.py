@@ -1,0 +1,42 @@
+"""Metamorphic properties of the exact solver, checked on generated graphs."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nearcolor import Graph, RuleMode, SolverConfig, solve
+
+SETTINGS = [(rule, surjective) for rule in RuleMode for surjective in (True, False)]
+
+
+@st.composite
+def small_graphs(draw, max_n=7):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    return Graph(n, tuple(edges))
+
+
+def min_and_count(g, k, rule, surjective):
+    res = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+    return res.min_bad, res.optimal_count
+
+
+@settings(deadline=None)
+@given(small_graphs(), st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
+def test_min_and_count_invariant_under_vertex_relabelling(g, k, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    relabelled = Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+    for rule, surjective in SETTINGS:
+        if surjective and k > g.n:
+            continue
+        assert min_and_count(relabelled, k, rule, surjective) == min_and_count(g, k, rule, surjective)
+
+
+@settings(deadline=None)
+@given(small_graphs(max_n=6), st.integers(min_value=1, max_value=4))
+def test_isolated_vertex_multiplies_count_by_k_without_surjectivity(g, k):
+    bigger = Graph(g.n + 1, g.edges)
+    for rule in RuleMode:
+        best, count = min_and_count(g, k, rule, False)
+        assert min_and_count(bigger, k, rule, False) == (best, count * k)

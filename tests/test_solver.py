@@ -7,6 +7,7 @@ import pytest
 
 from nearcolor import (
     Coloring,
+    Graph,
     InfeasibleError,
     InvalidParameterError,
     RuleMode,
@@ -104,6 +105,62 @@ def test_solve_agrees_with_oracle_on_seeded_instances():
                     assert optima == sorted(optima)
                     assert len(optima) == o.optimal_count
                     assert optima[0] == o.witness.assignment
+
+
+def brute_force_optima(g, k, rule, surjective):
+    """Every optimal assignment, in lexicographic order, by a plain scan."""
+    best, optima = None, []
+    for assign in itertools.product(range(1, k + 1), repeat=g.n):
+        if surjective and len(set(assign)) != k:
+            continue
+        dirty = {assign[u] for u, v in g.edges if assign[u] == assign[v]}
+        if rule is RuleMode.ONE_CLASS and len(dirty) > 1:
+            continue
+        bad = sum(1 for u, v in g.edges if assign[u] == assign[v])
+        if best is None or bad < best:
+            best, optima = bad, []
+        if bad == best:
+            optima.append(assign)
+    return optima
+
+
+def test_optima_with_unused_colors_agree_with_oracle_and_brute_force():
+    # k = 4, 5 on small graphs with isolated vertices: optima that leave
+    # colors unused stand for fewer than k! labelled copies each.
+    rng = random.Random(2024)
+    short_optima = 0
+    for _ in range(10):
+        n = rng.randint(1, 6)
+        p = rng.choice((0.2, 0.5, 0.8))
+        g = Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
+        for k in (4, 5):
+            for rule in RuleMode:
+                for surjective in (True, False):
+                    if surjective and k > n:
+                        with pytest.raises(InfeasibleError):
+                            solve(g, k, rule, surjective)
+                        continue
+                    o = enumerate_oracle(g, k, rule, surjective)
+                    s = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+                    assert (s.min_bad, s.optimal_count, s.witness) == (
+                        o.min_bad,
+                        o.optimal_count,
+                        o.witness,
+                    )
+                    expect = brute_force_optima(g, k, rule, surjective)
+                    got = [c.assignment for c in optimal_colorings(g, k, rule, surjective)]
+                    assert got == expect
+                    short_optima += sum(1 for a in expect if len(set(a)) < k)
+                    usage = [(min(a.count(c) for c in range(1, k + 1)), a) for a in expect]
+                    value = min(u for u, _ in usage)
+                    first = next(a for u, a in usage if u == value)
+                    mu = minimum_color_usage(g, k, rule, surjective)
+                    assert (mu.value, mu.color, mu.witness.assignment) == (
+                        value,
+                        next(c for c in range(1, k + 1) if first.count(c) == value),
+                        first,
+                    )
+    assert short_optima > 0
 
 
 def test_solve_is_deterministic():
