@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification found an undocumented mismatch,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -136,15 +137,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(sub)
     sub.add_argument("--heuristic", action="store_true", help="greedy upper bound instead of exact search")
     sub.add_argument("--dot", help="write the witness coloring as a DOT file")
+    sub.set_defaults(run=lambda args: _cmd_solve(args, counting=False))
 
     sub = commands.add_parser("count", help="solve and count all optimal colorings")
     _add_graph_source(sub)
     _add_solver_flags(sub)
+    sub.set_defaults(run=lambda args: _cmd_solve(args, counting=True))
 
     sub = commands.add_parser("family", help="closed-form value for a named family")
     sub.add_argument("--family", required=True, help="one of path:n, cycle:n, wheel:n, helm:n, complete:n")
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--json", action="store_true")
+    sub.set_defaults(run=_cmd_family)
 
     sub = commands.add_parser("poly", help="defect-polynomial value")
     sub.add_argument("--family", required=True, help="cycle:n or complete:n")
@@ -152,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--bad", type=int, default=None, help="bad-edge count (cycle families)")
     sub.add_argument("--k", type=int, default=None, help="used-color count (complete families)")
     sub.add_argument("--json", action="store_true")
+    sub.set_defaults(run=_cmd_poly)
 
     sub = commands.add_parser("bounds", help="operation bound or formula report")
     sub.add_argument("--op", choices=["union", "join", "corona"], required=True)
@@ -160,15 +165,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--relaxed", action="store_true", help="let the smaller side use all k colors")
     sub.add_argument("--json", action="store_true")
+    sub.set_defaults(run=_cmd_bounds)
 
     sub = commands.add_parser("verify", help="closed forms versus the exhaustive solver")
     sub.add_argument("--suite", choices=["families", "polys", "bounds", "all"], default="all")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", action="store_true")
+    sub.set_defaults(run=_cmd_verify)
 
     sub = commands.add_parser("gen", help="emit a generated graph as canonical edge-list text")
     _add_graph_source(sub, family_only=True)
     sub.add_argument("--dot", action="store_true", help="emit DOT instead of edge-list text")
+    sub.set_defaults(run=_cmd_gen)
     return parser
 
 
@@ -292,20 +300,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     h = parse_family_spec(args.right)
     ops = {"union": union_bound, "join": join_bound, "corona": corona_formula}
     report = ops[args.op](g, h, args.k, relaxed=args.relaxed, labels=(args.left, args.right))
-    payload = {
-        "op": report.op,
-        "left": report.left,
-        "right": report.right,
-        "k": report.k,
-        "t": report.t,
-        "left_min_bad": report.left_min_bad,
-        "right_min_bad": report.right_min_bad,
-        "cross_term": report.cross_term,
-        "bound": report.bound,
-        "exact": report.exact,
-        "slack": report.slack,
-    }
-    _emit(payload, args.json)
+    _emit(dataclasses.asdict(report), args.json)
     return 0
 
 
@@ -345,28 +340,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args, counting=False)
-        if args.command == "count":
-            return _cmd_solve(args, counting=True)
-        if args.command == "family":
-            return _cmd_family(args)
-        if args.command == "poly":
-            return _cmd_poly(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InvalidParameterError, InvalidColoringError, GraphFormatError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

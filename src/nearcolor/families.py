@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .coloring import RuleMode
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SizeLimitError
 from .graph import Graph, chromatic_number, corona, disjoint_union, join
 from .solver import minimum_color_usage, optimal_colorings, solve
 
-# Exact values for operation reports are only computed when the operand graph
-# stays within this vertex budget; beyond it the report carries exact=None.
+# Operation reports solve the combined graph exactly only up to this many
+# vertices (and within the solver's k**n cap); beyond it they carry exact=None.
 DEFAULT_EXACT_VERTEX_LIMIT = 18
 
 
@@ -168,12 +168,9 @@ def complete_defect_polynomial(n: int, k: int, colors: int) -> int:
 
 
 def corona_chromatic(chi_g: int, chi_h: int) -> int:
-    """Chromatic number of a corona by cases on the operand chromatic numbers."""
-    if chi_g == chi_h:
-        return chi_g + 1
-    if chi_g > chi_h:
-        return chi_g
-    return chi_h + 1
+    """Chromatic number of a corona G o H with H non-empty: every copy of H
+    plus its base vertex needs chi(H) + 1 colors, and G needs chi(G)."""
+    return max(chi_g, chi_h + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +183,10 @@ class BoundReport:
 
     ``slack = bound - exact``; for the inequality operations (union, join)
     slack is guaranteed non-negative, while the corona report records a
-    signed difference without asserting anything about it.  ``exact`` is
-    None when the combined instance exceeds exact-search limits.
+    signed difference without asserting anything about it.  ``exact`` and
+    ``slack`` are None when the combined graph has more than
+    ``DEFAULT_EXACT_VERTEX_LIMIT`` vertices or its exact search exceeds the
+    solver's ``k**n`` cap.
     """
 
     op: str
@@ -211,10 +210,53 @@ def _color_budget(k: int, chi: int, relaxed: bool) -> int:
     return max(1, min(k, chi - 1))
 
 
-def _exact_min(g: Graph, k: int, rule: RuleMode, vertex_limit: int) -> int | None:
-    if g.n > vertex_limit:
-        return None
-    return solve(g, k, rule, surjective=k <= g.n).min_bad
+def _smaller_chromatic_first(
+    g: Graph, h: Graph, labels: tuple[str, str]
+) -> tuple[Graph, Graph, tuple[str, str], int]:
+    """Order the operands so the first has the smaller chromatic number,
+    swapping the labels with them; also return that chromatic number."""
+    chi_g, chi_h = chromatic_number(g), chromatic_number(h)
+    if chi_g > chi_h:
+        return h, g, (labels[1], labels[0]), chi_h
+    return g, h, labels, chi_g
+
+
+def _report(
+    op: str,
+    g: Graph,
+    h: Graph,
+    k: int,
+    t: int,
+    rule: RuleMode,
+    labels: tuple[str, str],
+    cross: int | None,
+    combined: Graph,
+) -> BoundReport:
+    """Solve each side (t colors for g, k for h; surjective only where the
+    side has enough vertices), add the cross term, and compare the bound
+    with the exact optimum of the combined graph where that is in reach."""
+    left = solve(g, t, rule, surjective=t <= g.n).min_bad
+    right = solve(h, k, rule, surjective=k <= h.n).min_bad
+    bound = left + right + (cross or 0)
+    exact = None
+    if combined.n <= DEFAULT_EXACT_VERTEX_LIMIT:
+        try:
+            exact = solve(combined, k, rule, surjective=k <= combined.n).min_bad
+        except SizeLimitError:
+            pass
+    return BoundReport(
+        op=op,
+        left=f"{labels[0]}(n={g.n},m={g.m})",
+        right=f"{labels[1]}(n={h.n},m={h.m})",
+        k=k,
+        t=t,
+        left_min_bad=left,
+        right_min_bad=right,
+        cross_term=cross,
+        bound=bound,
+        exact=exact,
+        slack=None if exact is None else bound - exact,
+    )
 
 
 def union_bound(
@@ -224,7 +266,6 @@ def union_bound(
     *,
     rule: RuleMode | str = RuleMode.ONE_CLASS,
     relaxed: bool = False,
-    exact_vertex_limit: int = DEFAULT_EXACT_VERTEX_LIMIT,
     labels: tuple[str, str] = ("G", "H"),
 ) -> BoundReport:
     """Additive bound for the disjoint union: color each side optimally on
@@ -236,30 +277,9 @@ def union_bound(
     union, so slack is always non-negative.
     """
     rule = RuleMode(rule)
-    left_label, right_label = labels
-    chi_g, chi_h = chromatic_number(g), chromatic_number(h)
-    if chi_g > chi_h:
-        g, h, chi_g, chi_h = h, g, chi_h, chi_g
-        left_label, right_label = right_label, left_label
+    g, h, labels, chi_g = _smaller_chromatic_first(g, h, labels)
     t = _color_budget(k, chi_g, relaxed)
-    left = solve(g, t, rule, surjective=t <= g.n).min_bad
-    right = solve(h, k, rule, surjective=k <= h.n).min_bad
-    bound = left + right
-    combined, _ = disjoint_union(g, h)
-    exact = _exact_min(combined, k, rule, exact_vertex_limit)
-    return BoundReport(
-        op="union",
-        left=f"{left_label}(n={g.n},m={g.m})",
-        right=f"{right_label}(n={h.n},m={h.m})",
-        k=k,
-        t=t,
-        left_min_bad=left,
-        right_min_bad=right,
-        cross_term=None,
-        bound=bound,
-        exact=exact,
-        slack=None if exact is None else bound - exact,
-    )
+    return _report("union", g, h, k, t, rule, labels, None, disjoint_union(g, h)[0])
 
 
 def _usage_profiles(g: Graph, k_used: int, k_full: int, rule: RuleMode, surjective: bool):
@@ -280,7 +300,6 @@ def join_bound(
     *,
     rule: RuleMode | str = RuleMode.UNRESTRICTED,
     relaxed: bool = False,
-    exact_vertex_limit: int = DEFAULT_EXACT_VERTEX_LIMIT,
     labels: tuple[str, str] = ("G", "H"),
 ) -> BoundReport:
     """Bound for the join: each side's optimal minimum plus the smallest
@@ -295,37 +314,14 @@ def join_bound(
     candidates can be inadmissible and the reported slack may go negative.)
     """
     rule = RuleMode(rule)
-    left_label, right_label = labels
-    chi_g, chi_h = chromatic_number(g), chromatic_number(h)
-    if chi_g > chi_h:
-        g, h, chi_g, chi_h = h, g, chi_h, chi_g
-        left_label, right_label = right_label, left_label
+    g, h, labels, chi_g = _smaller_chromatic_first(g, h, labels)
     t = _color_budget(k, chi_g, relaxed)
-    surj_g = t <= g.n
-    surj_h = k <= h.n
-    left = solve(g, t, rule, surj_g).min_bad
-    right = solve(h, k, rule, surj_h).min_bad
-    profiles_g = _usage_profiles(g, t, k, rule, surj_g)
-    profiles_h = _usage_profiles(h, k, k, rule, surj_h)
+    profiles_g = _usage_profiles(g, t, k, rule, t <= g.n)
+    profiles_h = _usage_profiles(h, k, k, rule, k <= h.n)
     cross = min(
         sum(a * b for a, b in zip(pg, ph)) for pg in profiles_g for ph in profiles_h
     )
-    bound = left + right + cross
-    combined, _ = join(g, h)
-    exact = _exact_min(combined, k, rule, exact_vertex_limit)
-    return BoundReport(
-        op="join",
-        left=f"{left_label}(n={g.n},m={g.m})",
-        right=f"{right_label}(n={h.n},m={h.m})",
-        k=k,
-        t=t,
-        left_min_bad=left,
-        right_min_bad=right,
-        cross_term=cross,
-        bound=bound,
-        exact=exact,
-        slack=None if exact is None else bound - exact,
-    )
+    return _report("join", g, h, k, t, rule, labels, cross, join(g, h)[0])
 
 
 def corona_formula(
@@ -335,7 +331,6 @@ def corona_formula(
     *,
     rule: RuleMode | str = RuleMode.ONE_CLASS,
     relaxed: bool = False,
-    exact_vertex_limit: int = DEFAULT_EXACT_VERTEX_LIMIT,
     labels: tuple[str, str] = ("G", "H"),
 ) -> BoundReport:
     """Corona formula value versus the exact optimum of the corona.
@@ -346,34 +341,16 @@ def corona_formula(
     appears that rarely inside it).  It counts the copy term once although
     the corona contains n_g copies, so the report records the signed
     difference and asserts nothing about it.  The corona is asymmetric:
-    operands are never swapped.
+    operands are never swapped.  Its chromatic number comes from
+    :func:`corona_chromatic`; with an empty h the corona is g itself.
     """
     rule = RuleMode(rule)
-    combined, _ = corona(g, h)
-    chi_combined = chromatic_number(combined)
-    if not 1 <= k < chi_combined:
-        raise InvalidParameterError(
-            f"k must satisfy 1 <= k < chromatic number of the corona ({chi_combined}), got {k}"
-        )
     chi_g = chromatic_number(g)
+    chi = corona_chromatic(chi_g, chromatic_number(h)) if h.n else chi_g
+    if not 1 <= k < chi:
+        raise InvalidParameterError(
+            f"k must satisfy 1 <= k < chromatic number of the corona ({chi}), got {k}"
+        )
     t = _color_budget(k, chi_g, relaxed)
-    surj_h = k <= h.n
-    left = solve(g, t, rule, surjective=t <= g.n).min_bad
-    right = solve(h, k, rule, surj_h).min_bad
-    usage_min = minimum_color_usage(h, k, rule, surj_h).value
-    cross = g.n * usage_min
-    bound = left + right + cross
-    exact = _exact_min(combined, k, rule, exact_vertex_limit)
-    return BoundReport(
-        op="corona",
-        left=f"{labels[0]}(n={g.n},m={g.m})",
-        right=f"{labels[1]}(n={h.n},m={h.m})",
-        k=k,
-        t=t,
-        left_min_bad=left,
-        right_min_bad=right,
-        cross_term=cross,
-        bound=bound,
-        exact=exact,
-        slack=None if exact is None else bound - exact,
-    )
+    cross = g.n * minimum_color_usage(h, k, rule, k <= h.n).value
+    return _report("corona", g, h, k, t, rule, labels, cross, corona(g, h)[0])

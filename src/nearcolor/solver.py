@@ -37,9 +37,11 @@ from typing import Callable, Iterator, Sequence
 
 from .coloring import Coloring, RuleMode, bad_edges
 from .errors import InfeasibleError, InvalidParameterError, SizeLimitError
-from .graph import DEFAULT_CHROMATIC_SIZE_LIMIT, Graph, chromatic_number
+from .graph import Graph, chromatic_number
 
 DEFAULT_ENUM_CAP = 10**8
+# Local-search passes of greedy_heuristic; it stops earlier once a pass improves nothing.
+GREEDY_MAX_ROUNDS = 20
 
 
 @dataclass(frozen=True)
@@ -380,8 +382,6 @@ def k_chromatic_subgraph(
     g: Graph,
     k: int,
     rule: RuleMode | str = RuleMode.ONE_CLASS,
-    *,
-    chromatic_size_limit: int | None = DEFAULT_CHROMATIC_SIZE_LIMIT,
 ) -> KChromaticSubgraph:
     """Large induced subgraph whose chromatic number is at most k.
 
@@ -392,7 +392,7 @@ def k_chromatic_subgraph(
     Maximality over all k-chromatic subgraphs is not claimed.
     """
     rule = RuleMode(rule)
-    chi = chromatic_number(g, size_limit=chromatic_size_limit)
+    chi = chromatic_number(g)
     if not 1 <= k < chi:
         raise InvalidParameterError(
             f"k must satisfy 1 <= k < chromatic number ({chi}), got {k}"
@@ -401,7 +401,7 @@ def k_chromatic_subgraph(
     cover = bad_edge_vertex_cover(g, result.witness)
     removed = set(cover)
     sub, kept = g.induced_subgraph(v for v in range(g.n) if v not in removed)
-    chi_sub = chromatic_number(sub, size_limit=chromatic_size_limit)
+    chi_sub = chromatic_number(sub)
     return KChromaticSubgraph(
         subgraph=sub,
         kept_vertices=kept,
@@ -417,7 +417,6 @@ def greedy_heuristic(
     k: int,
     rule: RuleMode | str = RuleMode.ONE_CLASS,
     surjective: bool = True,
-    max_rounds: int = 20,
 ) -> SolveResult:
     """Greedy construction plus local search; NOT exact.
 
@@ -483,7 +482,7 @@ def greedy_heuristic(
             colors[best_pick[1]] = c
 
     current = total_bad()
-    for _ in range(max_rounds):
+    for _ in range(GREEDY_MAX_ROUNDS):
         improved = False
         sizes = [0] * (k + 1)
         for col in colors:

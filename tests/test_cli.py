@@ -139,6 +139,10 @@ def test_bounds_subcommand(capsys):
     code, out, _ = run(capsys, "bounds", "--op", "corona", "--left", "cycle:3", "--right", "complete:1", "--k", "2", "--json")
     assert code == 0
     assert json.loads(out)["exact"] == 1
+    code, out, _ = run(capsys, "bounds", "--op", "union", "--left", "complete:9", "--right", "complete:8", "--k", "3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["bound"], payload["exact"], payload["slack"]) == (36, None, None)
 
 
 def test_gen_round_trips_through_solve(tmp_path, capsys):
