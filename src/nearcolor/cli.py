@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification found an undocumented mismatch,
-2 invalid input or parameters, 3 exact-search size limit exceeded.
+2 invalid input or parameters, 3 exact search ran out of its work budget
+(``--cap``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .families import (
 )
 from .graph import (
     Graph,
-    chromatic_number,
     complete,
     corona,
     cycle,
@@ -46,7 +46,7 @@ from .graph import (
     wheel,
 )
 from .io import load_graph, write_dot, write_edge_list
-from .solver import DEFAULT_ENUM_CAP, SolverConfig, greedy_heuristic, solve
+from .solver import DEFAULT_WORK_BUDGET, SolverConfig, greedy_heuristic, solve
 from .verify import CheckRow, has_hard_mismatch, run_suites
 
 _SIMPLE_FAMILIES = {
@@ -123,7 +123,10 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, required=True, help="number of available colors")
     sub.add_argument("--rule", choices=[m.value for m in RuleMode], default=RuleMode.ONE_CLASS.value)
     sub.add_argument("--allow-unused", action="store_true", help="do not require every color to be used")
-    sub.add_argument("--cap", type=int, default=None, help="enumeration size cap override")
+    sub.add_argument(
+        "--cap", type=int, default=DEFAULT_WORK_BUDGET,
+        help=f"work budget: candidate placements the exact search may make (default {DEFAULT_WORK_BUDGET})",
+    )
     sub.add_argument("--require-connected", action="store_true")
     sub.add_argument("--json", action="store_true")
 
@@ -205,28 +208,11 @@ def _emit(payload: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
-def _warn_if_k_not_below_chromatic(g: Graph, k: int) -> None:
-    try:
-        chi = chromatic_number(g)
-    except SizeLimitError:
-        return
-    if k >= chi:
-        print(
-            f"note: k={k} is not below the chromatic number {chi}; "
-            "a proper coloring exists and min_bad is 0 when k colors suffice",
-            file=sys.stderr,
-        )
-
-
 def _cmd_solve(args: argparse.Namespace, counting: bool) -> int:
     g = _load_input(args)
     rule = RuleMode(args.rule)
     surjective = not args.allow_unused
-    _warn_if_k_not_below_chromatic(g, args.k)
-    config = SolverConfig(
-        enum_cap=DEFAULT_ENUM_CAP if args.cap is None else args.cap,
-        count_optimal=counting,
-    )
+    config = SolverConfig(work_budget=args.cap, count_optimal=counting)
     start = time.perf_counter()
     if getattr(args, "heuristic", False):
         result = greedy_heuristic(g, args.k, rule, surjective)
@@ -234,6 +220,13 @@ def _cmd_solve(args: argparse.Namespace, counting: bool) -> int:
     else:
         result = solve(g, args.k, rule, surjective, config)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
+    if result.min_bad == 0:
+        # A coloring with no bad edge is proper, so k is at least the chromatic number.
+        print(
+            f"note: k={args.k} is not below the chromatic number; "
+            "the coloring found is proper",
+            file=sys.stderr,
+        )
     _emit(_result_payload(g, args.k, result, elapsed_ms), args.json)
     if getattr(args, "dot", None):
         with open(args.dot, "w", encoding="utf-8") as fh:

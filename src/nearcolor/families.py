@@ -14,12 +14,8 @@ from math import comb, factorial
 
 from .coloring import RuleMode
 from .errors import InvalidParameterError, SizeLimitError
-from .graph import Graph, chromatic_number, corona, disjoint_union, join
-from .solver import minimum_color_usage, optimal_colorings, solve
-
-# Operation reports solve the combined graph exactly only up to this many
-# vertices (and within the solver's k**n cap); beyond it they carry exact=None.
-DEFAULT_EXACT_VERTEX_LIMIT = 18
+from .graph import Graph, corona, disjoint_union, join
+from .solver import chromatic_number, minimum_color_usage, optimal_colorings, solve
 
 
 @dataclass(frozen=True)
@@ -184,9 +180,8 @@ class BoundReport:
     ``slack = bound - exact``; for the inequality operations (union, join)
     slack is guaranteed non-negative, while the corona report records a
     signed difference without asserting anything about it.  ``exact`` and
-    ``slack`` are None when the combined graph has more than
-    ``DEFAULT_EXACT_VERTEX_LIMIT`` vertices or its exact search exceeds the
-    solver's ``k**n`` cap.
+    ``slack`` are None when the exact search of the combined graph runs out
+    of the solver's work budget.
     """
 
     op: str
@@ -234,16 +229,15 @@ def _report(
 ) -> BoundReport:
     """Solve each side (t colors for g, k for h; surjective only where the
     side has enough vertices), add the cross term, and compare the bound
-    with the exact optimum of the combined graph where that is in reach."""
+    with the exact optimum of the combined graph where the work budget
+    reaches it."""
     left = solve(g, t, rule, surjective=t <= g.n).min_bad
     right = solve(h, k, rule, surjective=k <= h.n).min_bad
     bound = left + right + (cross or 0)
-    exact = None
-    if combined.n <= DEFAULT_EXACT_VERTEX_LIMIT:
-        try:
-            exact = solve(combined, k, rule, surjective=k <= combined.n).min_bad
-        except SizeLimitError:
-            pass
+    try:
+        exact = solve(combined, k, rule, surjective=k <= combined.n).min_bad
+    except SizeLimitError:
+        exact = None
     return BoundReport(
         op=op,
         left=f"{labels[0]}(n={g.n},m={g.m})",

@@ -6,7 +6,8 @@ counts and witnesses are reproducible; a :class:`VertexLabelMap` bridges
 between semantic roles and raw indices.
 
 Graph values are immutable after construction and safe to share across
-concurrent tasks.
+concurrent tasks.  This module holds no search: the exact chromatic number
+comes from the bad-edge search kernel in :mod:`nearcolor.solver`.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import InvalidParameterError, SizeLimitError
+from .errors import InvalidParameterError
 
 Edge = tuple[int, int]
-
-DEFAULT_CHROMATIC_SIZE_LIMIT = 20
 
 
 def _normalized(u: int, v: int) -> Edge:
@@ -228,68 +227,3 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, VertexLabelMap]:
         roles.update({f"H[{i}][{j}]": offset + j for j in range(h.n)})
     out = Graph(g.n + g.n * h.n, tuple(edges))
     return out, VertexLabelMap(out.n, roles)
-
-
-# ---------------------------------------------------------------------------
-# Exact chromatic number
-# ---------------------------------------------------------------------------
-
-def chromatic_number(g: Graph, *, size_limit: int | None = DEFAULT_CHROMATIC_SIZE_LIMIT) -> int:
-    """Exact chromatic number by saturation-ordered branch and bound.
-
-    Exhaustive (never heuristic); graphs above ``size_limit`` vertices raise
-    :class:`SizeLimitError`.  Pass ``size_limit=None`` to lift the cap.
-    """
-    if g.n < 1:
-        raise InvalidParameterError("chromatic number needs at least one vertex")
-    if size_limit is not None and g.n > size_limit:
-        raise SizeLimitError(
-            f"graph has {g.n} vertices, exact chromatic search is capped at {size_limit}"
-        )
-    if g.m == 0:
-        return 1
-    n = g.n
-    adj = g.adj
-
-    # Greedy largest-first upper bound.
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    greedy = [0] * n
-    ub = 0
-    for v in order:
-        used = {greedy[u] for u in adj[v] if greedy[u]}
-        c = 1
-        while c in used:
-            c += 1
-        greedy[v] = c
-        ub = max(ub, c)
-
-    best = ub
-    colors = [0] * n
-
-    def dfs(colored: int, max_used: int) -> None:
-        nonlocal best
-        if max_used >= best:
-            return
-        if colored == n:
-            best = max_used
-            return
-        # Most saturated uncolored vertex; ties by degree, then index.
-        pick, pick_sat, pick_deg = -1, -1, -1
-        for v in range(n):
-            if colors[v] == 0:
-                sat = len({colors[u] for u in adj[v] if colors[u]})
-                deg = len(adj[v])
-                if sat > pick_sat or (sat == pick_sat and deg > pick_deg):
-                    pick, pick_sat, pick_deg = v, sat, deg
-        v = pick
-        forbidden = {colors[u] for u in adj[v]}
-        limit = min(max_used + 1, best - 1)
-        for c in range(1, limit + 1):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            dfs(colored + 1, max(max_used, c))
-            colors[v] = 0
-
-    dfs(0, 0)
-    return best

@@ -38,20 +38,21 @@ def _parse_int_pair(parts: list[str], line_no: int, what: str) -> tuple[int, int
 def _collect_edges(
     pairs: list[tuple[int, int, int]], n: int, one_based: bool
 ) -> list[Edge]:
-    """Validate (line_no, u, v) pairs and return 0-based normalized edges."""
+    """Validate (line_no, u, v) pairs and return 0-based normalized edges.
+
+    Error messages name the endpoints as the file wrote them.
+    """
     lo, hi = (1, n) if one_based else (0, n - 1)
     seen: set[Edge] = set()
     edges: list[Edge] = []
     for line_no, u, v in pairs:
         if not (lo <= u <= hi and lo <= v <= hi):
             raise GraphFormatError(f"endpoint out of range {lo}..{hi} in edge {u} {v}", line_no)
-        if one_based:
-            u, v = u - 1, v - 1
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}", line_no)
-        e = (u, v) if u < v else (v, u)
+        e = (min(u, v) - lo, max(u, v) - lo)
         if e in seen:
-            raise GraphFormatError(f"duplicate edge {e[0]} {e[1]}", line_no)
+            raise GraphFormatError(f"duplicate edge {u} {v}", line_no)
         seen.add(e)
         edges.append(e)
     return edges

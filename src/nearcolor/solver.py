@@ -23,9 +23,16 @@ unchanged.  Relabeling an optimum by first appearance never makes it
 lexicographically larger, so the smallest optimum is canonical and stays
 the first leaf of the index-order walk.  A canonical optimum using ``j``
 colors stands for ``math.perm(k, j)`` labeled optima, which is how counts
-and the full list of optima are formed.  Every exact entry point rejects
-instances whose k**n search space exceeds the cap with
-:class:`SizeLimitError`.  Results are deterministic.
+and the full list of optima are formed.
+
+The chromatic number comes from the same kernel: it is the smallest k for
+which a search with bound 0 and surjectivity off reaches a leaf.
+
+One deterministic work budget bounds every exact entry point.  Each search
+node charges the number of colors it is about to try, so the budget counts
+candidate placements; one public call shares one budget across all its
+searches and raises :class:`SizeLimitError` when it runs out.  Results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -37,8 +44,11 @@ from typing import Callable, Iterator, Sequence
 
 from .coloring import Coloring, RuleMode, bad_edges
 from .errors import InfeasibleError, InvalidParameterError, SizeLimitError
-from .graph import Graph, chromatic_number
+from .graph import Graph
 
+# Candidate placements one public exact call may make (``--cap``).
+DEFAULT_WORK_BUDGET = 2 * 10**6
+# Assignments enumerate_oracle may scan; its own cap, apart from the work budget.
 DEFAULT_ENUM_CAP = 10**8
 # Local-search passes of greedy_heuristic; it stops earlier once a pass improves nothing.
 GREEDY_MAX_ROUNDS = 20
@@ -48,12 +58,12 @@ GREEDY_MAX_ROUNDS = 20
 class SolverConfig:
     """Search knobs; defaults match the documented limits."""
 
-    enum_cap: int = DEFAULT_ENUM_CAP
+    work_budget: int = DEFAULT_WORK_BUDGET
     count_optimal: bool = False
 
     def __post_init__(self) -> None:
-        if self.enum_cap < 1:
-            raise InvalidParameterError("enumeration cap must be positive")
+        if self.work_budget < 1:
+            raise InvalidParameterError(f"work budget --cap must be positive, got {self.work_budget}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +161,9 @@ def _search(
     order: Sequence[int],
     bound: int,
     leaf: Callable[[list[int], int, int], int],
-) -> None:
+    budget: int,
+    spent: int,
+) -> int:
     """DFS over canonical assignments, vertices in ``order`` and colors ascending.
 
     A vertex takes only colors ``<= used + 1``, where ``used`` counts the
@@ -164,6 +176,10 @@ def _search(
     indexed by vertex, which a leaf must copy to keep; it stands for
     ``math.perm(k, used)`` labeled assignments.  The leaf's return value is
     the new bound; a negative bound cuts every remaining branch.
+
+    Each node adds the number of colors it tries to ``spent``, the candidate
+    placements made so far by the calling entry point; past ``budget`` the
+    search raises :class:`SizeLimitError`.  Returns the new ``spent``.
     """
     n = g.n
     one_class = rule is RuleMode.ONE_CLASS
@@ -175,15 +191,22 @@ def _search(
 
     def dfs(i: int, bad: int, used: int, dirty: int) -> None:
         # ``dirty`` is the one class allowed to hold a bad edge; 0 = none yet.
-        nonlocal bound
+        nonlocal bound, spent
         if i == n:
             if not surjective or used == k:
                 bound = leaf(colors, bad, used)
             return
         if surjective and k - used > n - i:
             return
+        top = min(used + 1, k)
+        spent += top
+        if spent > budget:
+            raise SizeLimitError(
+                f"exact search exceeds its work budget of {budget} candidate placements"
+                " (raise it with --cap)"
+            )
         v = order[i]
-        for c in range(1, min(used + 1, k) + 1):
+        for c in range(1, top + 1):
             conflicts = 0
             for u in earlier[i]:
                 if colors[u] == c:
@@ -200,6 +223,11 @@ def _search(
             dfs(i + 1, nb, used + (c > used), nd)
 
     dfs(0, 0, 0, 0)
+    return spent
+
+
+def _degree_order(g: Graph) -> list[int]:
+    return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
 
 
 def _optimum(
@@ -207,21 +235,19 @@ def _optimum(
     k: int,
     rule: RuleMode,
     surjective: bool,
-    cap: int,
+    budget: int,
     leaf: Callable[[list[int], int, int], int],
 ) -> int:
     """Proven minimum bad-edge count; ``leaf`` sees the canonical optima in order.
 
-    Rejects the instance if it is invalid or its k**n search space exceeds
-    ``cap``.  The bound phase walks vertices in degree-descending order and
-    tightens the bound to one below each incumbent.  The optimum walk then
-    runs in vertex-index order with the minimum as a fixed bound, so every
-    leaf it reaches is optimal; ``leaf`` returns that bound to go on, or -1
-    to stop.
+    Rejects the instance if it is invalid.  The bound phase walks vertices
+    in degree-descending order and tightens the bound to one below each
+    incumbent.  The optimum walk then runs in vertex-index order with the
+    minimum as a fixed bound, so every leaf it reaches is optimal; ``leaf``
+    returns that bound to go on, or -1 to stop.  Both phases draw on one
+    work budget.
     """
     _check_instance(g, k, surjective)
-    if k**g.n > cap:
-        raise SizeLimitError(f"search space of {k}**{g.n} assignments exceeds cap {cap}")
     best = -1
 
     def improve(colors: list[int], bad: int, used: int) -> int:
@@ -229,12 +255,36 @@ def _optimum(
         best = bad
         return bad - 1
 
-    degree_order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
-    _search(g, k, rule, surjective, degree_order, g.m, improve)
+    spent = _search(g, k, rule, surjective, _degree_order(g), g.m, improve, budget, 0)
     if best < 0:  # pragma: no cover - every checked instance has a valid coloring
         raise InfeasibleError("no valid coloring exists for this instance")
-    _search(g, k, rule, surjective, range(g.n), best, leaf)
+    _search(g, k, rule, surjective, range(g.n), best, leaf, budget, spent)
     return best
+
+
+def chromatic_number(g: Graph) -> int:
+    """Exact chromatic number: the smallest k whose search with bound 0 and
+    surjectivity off reaches a leaf, i.e. finds a proper coloring.
+
+    Every k tried draws on one default work budget; past it the search
+    raises :class:`SizeLimitError`.
+    """
+    if g.n < 1:
+        raise InvalidParameterError("chromatic number needs at least one vertex")
+    order = _degree_order(g)
+    found = False
+
+    def proper(colors: list[int], bad: int, used: int) -> int:
+        nonlocal found
+        found = True
+        return -1
+
+    spent = 0
+    k = 0
+    while not found:
+        k += 1
+        spent = _search(g, k, RuleMode.UNRESTRICTED, False, order, 0, proper, DEFAULT_WORK_BUDGET, spent)
+    return k
 
 
 def solve(
@@ -246,9 +296,10 @@ def solve(
 ) -> SolveResult:
     """Branch-and-bound minimization; agrees with :func:`enumerate_oracle` exactly.
 
-    The configured cap bounds the search space size k**n; instances beyond it
-    raise :class:`SizeLimitError` rather than degrading to a heuristic (use
-    :func:`greedy_heuristic` explicitly for those).
+    The configured work budget bounds the candidate placements of the whole
+    call; instances beyond it raise :class:`SizeLimitError` rather than
+    degrading to a heuristic (use :func:`greedy_heuristic` explicitly for
+    those).
     """
     rule = RuleMode(rule)
     cfg = config or SolverConfig()
@@ -262,7 +313,7 @@ def solve(
         count += math.perm(k, used)
         return bad if cfg.count_optimal else -1
 
-    best = _optimum(g, k, rule, surjective, cfg.enum_cap, visit)
+    best = _optimum(g, k, rule, surjective, cfg.work_budget, visit)
     return SolveResult(
         min_bad=best,
         witness=Coloring(witness[0], k),
@@ -294,8 +345,8 @@ def optimal_colorings(
 
     Each canonical optimum from the search is expanded into its labeled
     copies, one per injective renaming of its colors into ``1..k``.  The
-    search and the expansion run to completion, under the default cap,
-    before the first coloring is yielded.
+    search and the expansion run to completion, under the default work
+    budget, before the first coloring is yielded.
     """
     optima: list[tuple[int, ...]] = []
 
@@ -304,7 +355,7 @@ def optimal_colorings(
             optima.append(tuple(names[c - 1] for c in colors))
         return bad
 
-    _optimum(g, k, RuleMode(rule), surjective, DEFAULT_ENUM_CAP, collect)
+    _optimum(g, k, RuleMode(rule), surjective, DEFAULT_WORK_BUDGET, collect)
     optima.sort()
     for assign in optima:
         yield Coloring(assign, k)
@@ -330,7 +381,7 @@ def minimum_color_usage(
     Deterministic: colorings are scanned in lexicographic order and ties go
     to the smallest color, so the returned witness is the first attaining
     pair.  With surjectivity off the minimum may be 0 (an unused color).
-    Instances beyond the default cap raise :class:`SizeLimitError`.
+    Instances beyond the default work budget raise :class:`SizeLimitError`.
     """
     best: MinUsage | None = None
     for coloring in optimal_colorings(g, k, rule, surjective):
@@ -420,9 +471,9 @@ def greedy_heuristic(
 ) -> SolveResult:
     """Greedy construction plus local search; NOT exact.
 
-    Intended for graphs beyond exact-search limits.  The returned coloring
-    is valid under ``rule`` but its bad-edge count is only an upper bound,
-    flagged by ``exact=False``.  Never used as a test oracle.
+    Intended for graphs beyond the exact search's work budget.  The
+    returned coloring is valid under ``rule`` but its bad-edge count is only
+    an upper bound, flagged by ``exact=False``.  Never used as a test oracle.
     """
     rule = RuleMode(rule)
     _check_instance(g, k, surjective)

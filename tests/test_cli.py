@@ -47,6 +47,9 @@ def test_solve_warns_when_k_not_below_chromatic(capsys):
     code, _, err = run(capsys, "solve", "--family", "cycle:6", "--k", "2", "--json")
     assert code == 0
     assert "not below the chromatic number" in err
+    code, _, err = run(capsys, "solve", "--family", "cycle:7", "--k", "2", "--json")
+    assert code == 0
+    assert "not below the chromatic number" not in err
 
 
 def test_solve_input_file_and_dot_export(tmp_path, capsys):
@@ -142,7 +145,11 @@ def test_bounds_subcommand(capsys):
     code, out, _ = run(capsys, "bounds", "--op", "union", "--left", "complete:9", "--right", "complete:8", "--k", "3", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert (payload["bound"], payload["exact"], payload["slack"]) == (36, None, None)
+    assert (payload["bound"], payload["exact"], payload["slack"]) == (36, 36, 0)
+    code, out, _ = run(capsys, "bounds", "--op", "corona", "--left", "cycle:7", "--right", "complete:3", "--k", "3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["bound"], payload["exact"], payload["slack"]) == (8, None, None)
 
 
 def test_gen_round_trips_through_solve(tmp_path, capsys):

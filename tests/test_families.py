@@ -162,8 +162,8 @@ def test_union_bound_examples():
     assert (report.t, report.bound, report.exact, report.slack) == (1, 3, 1, 2)
     report = union_bound(cycle(5), cycle(5), 2)
     assert (report.bound, report.exact) == (2, 2)
-    report = union_bound(complete(9), complete(8), 3)  # 17 vertices, but 3**17 exceeds the k**n cap
-    assert (report.bound, report.exact, report.slack) == (36, None, None)
+    report = union_bound(complete(9), complete(8), 3)
+    assert (report.bound, report.exact, report.slack) == (36, 36, 0)
 
 
 def test_union_bound_orders_operands_by_chromatic_number():
@@ -204,8 +204,10 @@ def test_corona_formula_reports():
     assert (report.bound, report.exact) == (3, 3)
     report = corona_formula(path(3), Graph(0), 1)  # an empty H leaves the corona equal to G
     assert (report.bound, report.exact, report.slack) == (2, 2, 0)
-    report = corona_formula(path(5), path(4), 2)  # 25 vertices: past the exact-search limit
-    assert (report.bound, report.exact, report.slack) == (14, None, None)
+    report = corona_formula(path(5), path(4), 2)
+    assert (report.bound, report.exact, report.slack) == (14, 12, 2)
+    report = corona_formula(cycle(7), complete(3), 3)  # its exact search runs over the work budget
+    assert (report.bound, report.exact, report.slack) == (8, None, None)
     with pytest.raises(InvalidParameterError):
         corona_formula(cycle(3), complete(1), 3)  # k must stay below the corona's chromatic number
     with pytest.raises(InvalidParameterError):

@@ -7,17 +7,31 @@ import pytest
 from nearcolor import (
     Graph,
     InvalidParameterError,
+    RuleMode,
     SizeLimitError,
     chromatic_number,
     complete,
     corona,
     cycle,
     disjoint_union,
+    enumerate_oracle,
     helm,
     join,
     path,
     wheel,
 )
+
+
+def mycielski(order: int) -> Graph:
+    """Mycielski graph M_order: triangle-free with chromatic number ``order``."""
+    g = path(2)
+    for _ in range(order - 2):
+        n = g.n
+        edges = list(g.edges)
+        edges += [(u + n, v) for u, v in g.edges] + [(v + n, u) for u, v in g.edges]
+        edges += [(i + n, 2 * n) for i in range(n)]
+        g = Graph(2 * n + 1, tuple(edges))
+    return g
 
 
 def test_graph_normalizes_and_validates():
@@ -183,6 +197,22 @@ def test_chromatic_number_cycle_parity():
 def test_chromatic_number_cliques():
     for n in range(1, 8):
         assert chromatic_number(complete(n)) == n
+    # triangle-free, so the chromatic number exceeds the clique number
+    assert (mycielski(4).n, chromatic_number(mycielski(4))) == (11, 4)
+    assert (mycielski(5).n, chromatic_number(mycielski(5))) == (23, 5)
+
+
+def test_chromatic_number_is_smallest_k_without_bad_edges_in_the_oracle():
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        p = rng.choice([0.2, 0.5, 0.8])
+        g = Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
+        smallest = next(
+            k for k in range(1, n + 1)
+            if enumerate_oracle(g, k, RuleMode.UNRESTRICTED, surjective=False).min_bad == 0
+        )
+        assert chromatic_number(g) == smallest
 
 
 def test_chromatic_number_helm5_needs_four_colors():
@@ -191,6 +221,7 @@ def test_chromatic_number_helm5_needs_four_colors():
 
 def test_chromatic_number_size_limit():
     with pytest.raises(SizeLimitError):
-        chromatic_number(path(21))
-    assert chromatic_number(path(21), size_limit=25) == 2
-    assert chromatic_number(path(21), size_limit=None) == 2
+        chromatic_number(mycielski(6))  # 47 vertices: the search for chi = 6 runs over the work budget
+    # no vertex limit: only work counts
+    assert chromatic_number(path(21)) == 2
+    assert chromatic_number(cycle(41)) == 3

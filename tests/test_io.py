@@ -42,12 +42,20 @@ def test_parse_rejects_self_loop_with_line_number():
     with pytest.raises(GraphFormatError) as exc:
         parse_graph("2 1\n0 0\n")
     assert exc.value.line_no == 2
+    with pytest.raises(GraphFormatError) as exc:  # DIMACS vertices are named as the file wrote them
+        parse_dimacs("p edge 3 2\ne 1 2\ne 3 3\n")
+    assert exc.value.line_no == 3
+    assert "self-loop at vertex 3" in str(exc.value)
 
 
 def test_parse_rejects_duplicate_edge():
     with pytest.raises(GraphFormatError) as exc:
         parse_graph("3 2\n0 1\n1 0\n")
     assert exc.value.line_no == 3
+    with pytest.raises(GraphFormatError) as exc:
+        parse_dimacs("c two copies\np edge 3 2\ne 1 2\ne 2 1\n")
+    assert exc.value.line_no == 4
+    assert "duplicate edge 2 1" in str(exc.value)
 
 
 def test_parse_rejects_out_of_range_endpoint():

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearcolor import Graph, RuleMode, SolverConfig, solve
+from nearcolor import Graph, RuleMode, SolverConfig, chromatic_number, solve
 
 SETTINGS = [(rule, surjective) for rule in RuleMode for surjective in (True, False)]
 
@@ -40,3 +40,22 @@ def test_isolated_vertex_multiplies_count_by_k_without_surjectivity(g, k):
     for rule in RuleMode:
         best, count = min_and_count(g, k, rule, False)
         assert min_and_count(bigger, k, rule, False) == (best, count * k)
+
+
+@settings(deadline=None)
+@given(small_graphs(), st.integers(min_value=1, max_value=6))
+def test_min_bad_does_not_increase_with_one_more_color(g, k):
+    if k + 1 > g.n:
+        return
+    for rule, surjective in SETTINGS:
+        assert solve(g, k + 1, rule, surjective).min_bad <= solve(g, k, rule, surjective).min_bad
+
+
+@settings(deadline=None)
+@given(small_graphs(), st.integers(min_value=1, max_value=7))
+def test_no_bad_edge_exactly_when_k_reaches_the_chromatic_number(g, k):
+    if k > g.n:
+        return
+    chi = chromatic_number(g)
+    for rule, surjective in SETTINGS:
+        assert (solve(g, k, rule, surjective).min_bad == 0) == (k >= chi)

@@ -15,6 +15,7 @@ from nearcolor import (
     SolverConfig,
     bad_edge_vertex_cover,
     bad_edges,
+    chromatic_number,
     complete,
     count_optimal,
     cycle,
@@ -198,13 +199,28 @@ def test_enumeration_cap():
 
 
 def test_every_exact_entry_point_honours_the_cap():
-    g = complete(27)  # 2**27 assignments exceed the default cap
+    rng = random.Random(0)  # 40 vertices, p = 0.3: k = 3 runs over the default work budget
+    g = Graph(40, tuple((u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.3))
     with pytest.raises(SizeLimitError):
-        solve(g, 2)
+        solve(g, 3)
     with pytest.raises(SizeLimitError):
-        list(optimal_colorings(g, 2))
+        list(optimal_colorings(g, 3))
     with pytest.raises(SizeLimitError):
-        minimum_color_usage(g, 2)
+        minimum_color_usage(g, 3)
+
+
+def test_one_work_budget_covers_every_search_of_a_call(monkeypatch):
+    # Counting K10 with 4 colors makes 1248 candidate placements in the bound
+    # phase and 1409 in the optimum walk; the call is charged for both.
+    assert solve(complete(10), 4, config=SolverConfig(work_budget=2657, count_optimal=True)).optimal_count == 2880
+    with pytest.raises(SizeLimitError):
+        solve(complete(10), 4, config=SolverConfig(work_budget=2656, count_optimal=True))
+    # chi(K6) tries k = 1..6 for 71 placements in all, at most 21 for one k.
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 71)
+    assert chromatic_number(complete(6)) == 6
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 70)
+    with pytest.raises(SizeLimitError):
+        chromatic_number(complete(6))
 
 
 def test_minimum_color_usage_values():
