@@ -25,6 +25,18 @@ the first leaf of the index-order walk.  A canonical optimum using ``j``
 colors stands for ``math.perm(k, j)`` labeled optima, which is how counts
 and the full list of optima are formed.
 
+The kernel also prunes on an admissible look-ahead bound, in the style of
+forward checking.  For each vertex w not yet placed it keeps ``cnt[w][c]``,
+the placed neighbors of w with color c, and ``low[w] = min_c cnt[w][c]``.
+Whatever color w takes, it adds at least ``low[w]`` bad edges against the
+vertices already placed, and each edge is counted once, at its later
+endpoint, so the bad edges of any completion are at least the placed ones
+plus ``sum(low)`` over the unplaced vertices.  A branch is cut only when
+that sum exceeds the bound.  The symmetry rule, the one-class rule and
+surjectivity only remove choices, so the bound stays admissible in all four
+rule and surjectivity settings: every leaf within the bound is still
+reached, in the same order.
+
 The chromatic number comes from the same kernel: it is the smallest k for
 which a search with bound 0 and surjectivity off reaches a leaf.
 
@@ -169,13 +181,24 @@ def _search(
     A vertex takes only colors ``<= used + 1``, where ``used`` counts the
     distinct colors of the prefix, so the colors in use are ``1..used`` in
     order of first appearance along ``order``: one assignment per class of
-    color relabelings.  A branch is cut when its bad-edge count exceeds
-    ``bound``, when it can no longer use all k colors (surjective) or when it
-    would make a second class dirty (one-class rule).  Each valid complete
-    assignment goes to ``leaf(colors, bad, used)`` as the search's own list,
-    indexed by vertex, which a leaf must copy to keep; it stands for
-    ``math.perm(k, used)`` labeled assignments.  The leaf's return value is
-    the new bound; a negative bound cuts every remaining branch.
+    color relabelings.  A branch is cut when its bad-edge count plus the
+    look-ahead bound exceeds ``bound``, when it can no longer use all k
+    colors (surjective) or when it would make a second class dirty
+    (one-class rule).
+
+    The look-ahead bound is ``sum(low)`` over the vertices not yet placed
+    (see the module docstring).  It is admissible: an unplaced w gains at
+    least ``low[w]`` bad edges whatever color it takes, and the rules only
+    remove colors.  Placing v at color c takes ``low[v]`` out of the sum and
+    adds one to ``cnt[w][c]`` for each later neighbor w, which raises
+    ``low[w]`` by one when c was w's only least color; both tables are
+    undone on backtrack.  The conflicts of v at c are ``cnt[v][c]``.
+
+    Each valid complete assignment goes to ``leaf(colors, bad, used)`` as
+    the search's own list, indexed by vertex, which a leaf must copy to
+    keep; it stands for ``math.perm(k, used)`` labeled assignments.  The
+    leaf's return value is the new bound; a negative bound cuts every
+    remaining branch.
 
     Each node adds the number of colors it tries to ``spent``, the candidate
     placements made so far by the calling entry point; past ``budget`` the
@@ -186,11 +209,16 @@ def _search(
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    earlier = [tuple(u for u in g.adj[v] if pos[u] < i) for i, v in enumerate(order)]
+    later = [tuple(u for u in g.adj[v] if pos[u] > i) for i, v in enumerate(order)]
     colors = [0] * n
+    # cnt[w][c]: placed neighbors of w with color c.  Slot 0 is a sentinel
+    # above every count, so ``x not in cnt[w]`` asks whether no color holds x.
+    cnt = [[n + 1] + [0] * k for _ in range(n)]
+    low = [0] * n  # low[w] = min over colors c of cnt[w][c]
 
-    def dfs(i: int, bad: int, used: int, dirty: int) -> None:
+    def dfs(i: int, bad: int, used: int, dirty: int, lb: int) -> None:
         # ``dirty`` is the one class allowed to hold a bad edge; 0 = none yet.
+        # ``lb`` is the sum of ``low`` over the vertices not yet placed.
         nonlocal bound, spent
         if i == n:
             if not surjective or used == k:
@@ -206,23 +234,38 @@ def _search(
                 " (raise it with --cap)"
             )
         v = order[i]
+        row = cnt[v]
+        rest = lb - low[v]
+        ahead = later[i]
         for c in range(1, top + 1):
-            conflicts = 0
-            for u in earlier[i]:
-                if colors[u] == c:
-                    conflicts += 1
+            conflicts = row[c]
             nb = bad + conflicts
-            if nb > bound:
+            if nb + rest > bound:
                 continue
             nd = dirty
             if conflicts and one_class:
                 if dirty and dirty != c:
                     continue
                 nd = c
-            colors[v] = c
-            dfs(i + 1, nb, used + (c > used), nd)
+            raised = 0
+            for w in ahead:
+                r = cnt[w]
+                x = r[c]
+                r[c] = x + 1
+                if x == low[w] and x not in r:
+                    low[w] = x + 1
+                    raised += 1
+            if nb + rest + raised <= bound:
+                colors[v] = c
+                dfs(i + 1, nb, used + (c > used), nd, rest + raised)
+            for w in ahead:
+                r = cnt[w]
+                x = r[c] - 1
+                r[c] = x
+                if x < low[w]:
+                    low[w] = x
 
-    dfs(0, 0, 0, 0)
+    dfs(0, 0, 0, 0, 0)
     return spent
 
 

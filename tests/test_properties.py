@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearcolor import Graph, RuleMode, SolverConfig, chromatic_number, solve
+from nearcolor import Graph, RuleMode, SolverConfig, chromatic_number, enumerate_oracle, solve
 
 SETTINGS = [(rule, surjective) for rule in RuleMode for surjective in (True, False)]
 
@@ -19,6 +19,17 @@ def small_graphs(draw, max_n=7):
 def min_and_count(g, k, rule, surjective):
     res = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
     return res.min_bad, res.optimal_count
+
+
+@settings(deadline=None)
+@given(small_graphs(), st.integers(min_value=1, max_value=4))
+def test_solve_matches_the_enumeration_oracle(g, k):
+    for rule, surjective in SETTINGS:
+        if surjective and k > g.n:
+            continue
+        o = enumerate_oracle(g, k, rule, surjective)
+        s = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+        assert (s.min_bad, s.optimal_count, s.witness) == (o.min_bad, o.optimal_count, o.witness)
 
 
 @settings(deadline=None)

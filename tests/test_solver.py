@@ -89,10 +89,11 @@ def test_count_optimal_known_values():
 
 
 def test_solve_agrees_with_oracle_on_seeded_instances():
+    # Dense graphs and k = 4 are where the look-ahead bound prunes most.
     rng = random.Random(99)
-    for _ in range(12):
-        g = random_connected_graph(rng, rng.randint(4, 8))
-        for k in (1, 2, 3):
+    for p in [0.3] * 8 + [0.6] * 8 + [0.9] * 8:
+        g = random_connected_graph(rng, rng.randint(4, 8), p)
+        for k in (1, 2, 3, 4):
             for rule in RuleMode:
                 for surjective in (True, False):
                     o = enumerate_oracle(g, k, rule, surjective)
@@ -215,12 +216,23 @@ def test_one_work_budget_covers_every_search_of_a_call(monkeypatch):
     assert solve(complete(10), 4, config=SolverConfig(work_budget=2657, count_optimal=True)).optimal_count == 2880
     with pytest.raises(SizeLimitError):
         solve(complete(10), 4, config=SolverConfig(work_budget=2656, count_optimal=True))
-    # chi(K6) tries k = 1..6 for 71 placements in all, at most 21 for one k.
-    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 71)
+    # chi(K6) tries k = 1..6 for 56 placements in all, at most 21 for one k.
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 56)
     assert chromatic_number(complete(6)) == 6
-    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 70)
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 55)
     with pytest.raises(SizeLimitError):
         chromatic_number(complete(6))
+
+
+def test_reference_instance_r22_fits_the_default_work_budget():
+    # R22: random.Random(1) draws 98 of the 231 edges of K22; k = 3, surjective.
+    # Pruning on placed bad edges alone spends 1,222,682 placements on the
+    # unrestricted bound phase and runs out in the optimum walk.
+    edges = random.Random(1).sample(list(itertools.combinations(range(22), 2)), 98)
+    g = Graph(22, tuple(edges))
+    for rule, expect in ((RuleMode.UNRESTRICTED, (13, 96)), (RuleMode.ONE_CLASS, (25, 30))):
+        res = solve(g, 3, rule, True, SolverConfig(count_optimal=True))
+        assert (res.min_bad, res.optimal_count) == expect
 
 
 def test_minimum_color_usage_values():
