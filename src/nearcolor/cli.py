@@ -101,7 +101,7 @@ def _load_input(args: argparse.Namespace) -> Graph:
     if getattr(args, "input", None):
         try:
             g = load_graph(args.input)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise GraphFormatError(f"cannot read {args.input}: {exc}")
     else:
         g = parse_family_spec(args.family)
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(run=_cmd_bounds)
 
-    sub = commands.add_parser("verify", help="closed forms versus the exhaustive solver")
+    sub = commands.add_parser("verify", help="closed forms versus the exact search kernel")
     sub.add_argument("--suite", choices=["families", "polys", "bounds", "all"], default="all")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", action="store_true")
@@ -229,8 +229,11 @@ def _cmd_solve(args: argparse.Namespace, counting: bool) -> int:
         )
     _emit(_result_payload(g, args.k, result, elapsed_ms), args.json)
     if getattr(args, "dot", None):
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(write_dot(g, result.witness))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(write_dot(g, result.witness))
+        except OSError as exc:
+            raise InvalidParameterError(f"cannot write {args.dot}: {exc}")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Closed-form values for named graph families, defect-polynomial formulas,
 and bounds for graph operations (union, join, corona).
 
-Every value here is a published claim that the exhaustive solver can
+Every value here is a published claim that the exact solver can
 adjudicate.  Claims known to disagree with exhaustive search carry dispute
 flags so the verification harness reports them instead of asserting them;
 see the README for the full reconciliation table.
@@ -308,6 +308,8 @@ def join_bound(
     candidates can be inadmissible and the reported slack may go negative.)
     """
     rule = RuleMode(rule)
+    if k < 1:
+        raise InvalidParameterError(f"color count must be a positive integer, got {k!r}")
     g, h, labels, chi_g = _smaller_chromatic_first(g, h, labels)
     t = _color_budget(k, chi_g, relaxed)
     profiles_g = _usage_profiles(g, t, k, rule, t <= g.n)

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from nearcolor.cli import main, parse_family_spec
 from nearcolor import InvalidParameterError, complete, wheel
@@ -82,6 +84,51 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_undecodable_input_exits_2(tmp_path, capsys):
+    graph_file = tmp_path / "utf16.el"
+    graph_file.write_bytes(b"\xff\xfe\x00\x01")
+    code, _, err = run(capsys, "solve", "--input", str(graph_file), "--k", "2")
+    assert code == 2
+    assert err.startswith("error: cannot read") and str(graph_file) in err
+
+
+def test_unwritable_dot_path_exits_2(tmp_path, capsys):
+    dot_file = tmp_path / "no-such-dir" / "g.dot"
+    code, _, err = run(capsys, "solve", "--family", "cycle:5", "--k", "2", "--dot", str(dot_file))
+    assert code == 2
+    assert err.startswith("error: cannot write") and str(dot_file) in err
+
+
+# Byte pieces that often add up to a parsable file, mixed with bytes that do not.
+FILE_PIECES = [b"p edge ", b"e ", b"c x", b"# ", b"0 ", b"1 ", b"2 ", b"3 ", b"4 ", b"\n", b"\r\n", b"\xff", b"\x00"]
+
+
+def small_integers_only(data):
+    """False when the text holds an integer token above 64: a header n makes
+    n adjacency sets, which is a memory question rather than a parse one."""
+    try:
+        tokens = data.decode("utf-8").split()
+    except UnicodeDecodeError:
+        return True
+    for token in tokens:
+        try:
+            if abs(int(token)) > 64:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=64), st.lists(st.sampled_from(FILE_PIECES), max_size=20).map(b"".join)))
+def test_solve_on_arbitrary_file_bytes_exits_without_a_traceback(tmp_path, capsys, data):
+    assume(small_integers_only(data))
+    graph_file = tmp_path / "fuzz.el"
+    graph_file.write_bytes(data)
+    code, _, _ = run(capsys, "solve", "--input", str(graph_file), "--k", "2")
+    assert code in (0, 2, 3)
+
+
 def test_disconnected_input_rejected_when_required(capsys):
     code, _, err = run(capsys, "solve", "--family", "union(path:2,path:2)", "--k", "1", "--require-connected")
     assert code == 2
@@ -139,6 +186,10 @@ def test_bounds_subcommand(capsys):
     assert code == 0
     payload = json.loads(out)
     assert (payload["bound"], payload["exact"], payload["slack"]) == (6, 6, 0)
+    for k in ("0", "-1"):
+        code, _, err = run(capsys, "bounds", "--op", "join", "--left", "path:2", "--right", "path:2", "--k", k)
+        assert code == 2
+        assert "positive integer" in err
     code, out, _ = run(capsys, "bounds", "--op", "corona", "--left", "cycle:3", "--right", "complete:1", "--k", "2", "--json")
     assert code == 0
     assert json.loads(out)["exact"] == 1

@@ -172,6 +172,13 @@ def test_union_bound_orders_operands_by_chromatic_number():
     assert (a.t, a.bound, a.exact) == (b.t, b.bound, b.exact)
 
 
+@pytest.mark.parametrize("bound", [union_bound, join_bound])
+@pytest.mark.parametrize("k", [0, -1])
+def test_operation_bounds_reject_color_counts_below_one(bound, k):
+    with pytest.raises(InvalidParameterError, match="positive integer"):
+        bound(path(2), path(2), k)
+
+
 def test_join_bound_worked_example():
     report = join_bound(complete(3), complete(3), 2)
     assert (report.left_min_bad, report.right_min_bad, report.cross_term) == (1, 1, 4)

@@ -81,6 +81,37 @@ def test_writer_emits_sorted_canonical_form():
     assert write_edge_list(g) == "4 3\n0 1\n0 3\n2 3\n"
 
 
+# Tokens of both formats, a few foreign ones, and small integers only: a
+# header n makes n adjacency sets, which is a memory question, not a parse one.
+TOKENS = ["p", "edge", "e", "c", "#", "x", "1.5", "-1", "0", "1", "2", "3", "4", "5"]
+
+
+@st.composite
+def token_texts(draw):
+    lines = draw(st.lists(st.lists(st.sampled_from(TOKENS), max_size=4).map(" ".join), max_size=8))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+def has_significant_line(text):
+    """Whether any line is neither blank nor a comment of the format that the
+    first non-blank line selects ('c' for DIMACS, '#' for edge lists)."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines:
+        return False
+    lead = lines[0][0]
+    return lead not in "c#" or any(line[0] != lead for line in lines)
+
+
+@given(token_texts())
+def test_parse_graph_returns_a_graph_or_a_located_format_error(text):
+    try:
+        g = parse_graph(text)
+    except GraphFormatError as exc:
+        assert exc.line_no is not None or not has_significant_line(text)
+    else:
+        assert isinstance(g, Graph)
+
+
 @st.composite
 def graphs(draw):
     n = draw(st.integers(min_value=1, max_value=9))

@@ -31,6 +31,7 @@ from nearcolor import (
     wheel,
 )
 from nearcolor.verify import random_connected_graph
+from partition_oracle import partition_oracle
 
 
 def brute_force(g, k, rule, surjective):
@@ -107,6 +108,26 @@ def test_solve_agrees_with_oracle_on_seeded_instances():
                     assert optima == sorted(optima)
                     assert len(optima) == o.optimal_count
                     assert optima[0] == o.witness.assignment
+
+
+def test_partition_oracle_agrees_with_solve_and_enumeration():
+    # The subset DP shares no code with either DFS.  It reaches n = 10, where
+    # enumerating k**n assignments is too slow; enumeration joins below that.
+    rng = random.Random(8)
+    for p in (0.3, 0.6, 0.9):
+        for n in (1, 3, 5, 7, 8, 9, 10):
+            g = random_connected_graph(rng, n, p)
+            for k in (1, 2, 3, 4):
+                for rule in RuleMode:
+                    for surjective in (True, False):
+                        if surjective and k > n:
+                            continue
+                        expect = partition_oracle(g, k, rule, surjective)
+                        s = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+                        assert (s.min_bad, s.optimal_count) == expect
+                        if k**n <= 20_000:
+                            o = enumerate_oracle(g, k, rule, surjective)
+                            assert (o.min_bad, o.optimal_count) == expect
 
 
 def brute_force_optima(g, k, rule, surjective):
