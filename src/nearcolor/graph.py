@@ -12,7 +12,6 @@ comes from the bad-edge search kernel in :mod:`nearcolor.solver`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -72,18 +71,31 @@ class Graph:
         """Degrees in non-increasing order."""
         return tuple(sorted((len(s) for s in self.adj), reverse=True))
 
+    def components(self) -> list[list[int]]:
+        """Connected components as ascending vertex lists, ordered by smallest vertex.
+
+        One search labels every vertex with its component and one pass over
+        the vertices fills the lists, so the cost is O(n + m).
+        """
+        label = [-1] * self.n
+        count = 0
+        for s in range(self.n):
+            if label[s] < 0:
+                label[s] = count
+                stack = [s]
+                while stack:
+                    for u in self.adj[stack.pop()]:
+                        if label[u] < 0:
+                            label[u] = count
+                            stack.append(u)
+                count += 1
+        parts: list[list[int]] = [[] for _ in range(count)]
+        for v, c in enumerate(label):
+            parts[c].append(v)
+        return parts
+
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for u in self.adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen) == self.n
+        return len(self.components()) <= 1
 
     def induced_subgraph(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on ``keep`` with vertices relabeled densely.

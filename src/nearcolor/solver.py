@@ -8,11 +8,12 @@ lexicographically smallest witness.
 
 One search kernel, ``_search``, serves every exact entry point (``solve``,
 ``count_optimal``, ``optimal_colorings``, ``minimum_color_usage``), run in
-two vertex orders.  The bound phase visits vertices in static
-degree-descending order and prunes on the incumbent; the optimum walk
-re-walks the tree in vertex-index order with the proven optimum as the
-bound, so the first leaf reached is the lexicographically smallest witness
-and (when counting) every canonical optimum is visited exactly once.
+two vertex orders.  The bound phase visits the vertices of each connected
+component in static degree-descending order and prunes on the incumbent;
+the optimum walk re-walks the tree in vertex-index order with the proven
+optimum as the bound, so the first leaf reached is the lexicographically
+smallest witness and (when counting) every canonical optimum is visited
+exactly once.
 
 The kernel breaks color symmetry: a vertex may only take a color at most
 one above the number of colors its prefix uses, so the colors in use are
@@ -37,6 +38,15 @@ surjectivity only remove choices, so the bound stays admissible in all four
 rule and surjectivity settings: every leaf within the bound is still
 reached, in the same order.
 
+The search splits at connected components.  No edge crosses a component,
+so the minimum is the sum of the components' minima with surjectivity off,
+under both rules: each component's dirty class can be renamed to one shared
+color, and with k <= n a vertex moved from a class of two or more into an
+unused color adds no bad edge and no dirty class, so surjectivity costs
+nothing.  The bound phase therefore runs once per component.  The optimum
+walk still runs over the whole graph, and its look-ahead bound also counts
+the minimum of every component it has not yet entered.
+
 The chromatic number comes from the same kernel: it is the smallest k for
 which a search with bound 0 and surjectivity off reaches a leaf.
 
@@ -51,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -175,6 +186,7 @@ def _search(
     leaf: Callable[[list[int], int, int], int],
     budget: int,
     spent: int,
+    drop: Sequence[int] | None = None,
 ) -> int:
     """DFS over canonical assignments, vertices in ``order`` and colors ascending.
 
@@ -194,6 +206,15 @@ def _search(
     ``low[w]`` by one when c was w's only least color; both tables are
     undone on backtrack.  The conflicts of v at c are ``cnt[v][c]``.
 
+    ``drop[i]`` (all 0 when omitted) is the proven minimum of the connected
+    component whose first vertex in ``order`` is at position i, and 0 at
+    every other position; the look-ahead bound starts at ``sum(drop)`` and
+    sheds ``drop[i]`` when position i is placed.  It stays admissible: a
+    component not yet started has no placed vertex, so its vertices have
+    ``low = 0`` and its edges are none of those ``low`` counts, and under
+    every rule and surjectivity setting its own edges still cost at least
+    its minimum with surjectivity off.
+
     Each valid complete assignment goes to ``leaf(colors, bad, used)`` as
     the search's own list, indexed by vertex, which a leaf must copy to
     keep; it stands for ``math.perm(k, used)`` labeled assignments.  The
@@ -203,8 +224,13 @@ def _search(
     Each node adds the number of colors it tries to ``spent``, the candidate
     placements made so far by the calling entry point; past ``budget`` the
     search raises :class:`SizeLimitError`.  Returns the new ``spent``.
+
+    The DFS goes one Python frame deeper per vertex, so the interpreter's
+    recursion limit is raised by n for the duration of the search.
     """
     n = g.n
+    if drop is None:
+        drop = [0] * n
     one_class = rule is RuleMode.ONE_CLASS
     pos = [0] * n
     for i, v in enumerate(order):
@@ -235,7 +261,7 @@ def _search(
             )
         v = order[i]
         row = cnt[v]
-        rest = lb - low[v]
+        rest = lb - low[v] - drop[i]
         ahead = later[i]
         for c in range(1, top + 1):
             conflicts = row[c]
@@ -265,7 +291,12 @@ def _search(
                 if x < low[w]:
                     low[w] = x
 
-    dfs(0, 0, 0, 0, 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n)
+    try:
+        dfs(0, 0, 0, 0, sum(drop))
+    finally:
+        sys.setrecursionlimit(limit)
     return spent
 
 
@@ -283,26 +314,50 @@ def _optimum(
 ) -> int:
     """Proven minimum bad-edge count; ``leaf`` sees the canonical optima in order.
 
-    Rejects the instance if it is invalid.  The bound phase walks vertices
-    in degree-descending order and tightens the bound to one below each
-    incumbent.  The optimum walk then runs in vertex-index order with the
-    minimum as a fixed bound, so every leaf it reaches is optimal; ``leaf``
-    returns that bound to go on, or -1 to stop.  Both phases draw on one
-    work budget.
+    Rejects the instance if it is invalid.  The bound phase runs once per
+    connected component, relabeled densely, in degree-descending order,
+    tightening the bound to one below each incumbent.  Surjectivity is off
+    there unless g is connected: the sum of the component minima is the
+    minimum either way (see the module docstring).  The optimum walk then
+    runs over all of g in vertex-index order with that minimum as a fixed
+    bound and each component's minimum as ``drop`` at its first vertex, so
+    every leaf it reaches is optimal; ``leaf`` returns that bound to go on,
+    or -1 to stop.  All searches draw on one work budget.
     """
     _check_instance(g, k, surjective)
-    best = -1
+    parts = g.components()
+    drop = [0] * g.n
+    found = 0
 
     def improve(colors: list[int], bad: int, used: int) -> int:
-        nonlocal best
-        best = bad
+        nonlocal found
+        found = bad
         return bad - 1
 
-    spent = _search(g, k, rule, surjective, _degree_order(g), g.m, improve, budget, 0)
-    if best < 0:  # pragma: no cover - every checked instance has a valid coloring
-        raise InfeasibleError("no valid coloring exists for this instance")
-    _search(g, k, rule, surjective, range(g.n), best, leaf, budget, spent)
+    spent = 0
+    for part, sub in zip(parts, _split(g, parts)):
+        spent = _search(sub, k, rule, surjective and len(parts) == 1, _degree_order(sub),
+                        sub.m, improve, budget, spent)
+        drop[part[0]] = found
+    best = sum(drop)
+    _search(g, k, rule, surjective, range(g.n), best, leaf, budget, spent, drop)
     return best
+
+
+def _split(g: Graph, parts: list[list[int]]) -> list[Graph]:
+    """The subgraphs induced by ``parts``, relabeled densely in one pass over the edges."""
+    if len(parts) == 1:
+        return [g]
+    where = [0] * g.n
+    local = [0] * g.n
+    for c, part in enumerate(parts):
+        for i, v in enumerate(part):
+            where[v] = c
+            local[v] = i
+    edges: list[list[tuple[int, int]]] = [[] for _ in parts]
+    for u, v in g.edges:
+        edges[where[u]].append((local[u], local[v]))
+    return [Graph(len(part), tuple(e)) for part, e in zip(parts, edges)]
 
 
 def chromatic_number(g: Graph) -> int:

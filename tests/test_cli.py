@@ -64,6 +64,15 @@ def test_solve_input_file_and_dot_export(tmp_path, capsys):
     assert "[color=1]" in dot_file.read_text()
 
 
+def test_solve_on_a_thousand_isolated_vertices_exits_0(tmp_path, capsys):
+    # The search goes one frame deeper per vertex, past the default recursion limit.
+    graph_file = tmp_path / "g.el"
+    graph_file.write_text("1000 0\n")
+    code, out, _ = run(capsys, "solve", "--input", str(graph_file), "--k", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["min_bad"] == 0
+
+
 def test_solve_heuristic_is_labeled_inexact(capsys):
     code, out, err = run(capsys, "solve", "--family", "cycle:9", "--k", "2", "--heuristic", "--json")
     assert code == 0

@@ -180,6 +180,27 @@ def test_corona_edge_count_formula_random_pairs():
         assert c.is_connected() == g.is_connected()
 
 
+def test_components_are_ascending_and_ordered_by_smallest_vertex():
+    g = Graph(7, ((0, 4), (4, 2), (1, 5), (5, 6)))
+    assert g.components() == [[0, 2, 4], [1, 5, 6], [3]]
+    assert not g.is_connected()
+    assert Graph(0).components() == [] and Graph(0).is_connected()
+    assert Graph(1).is_connected() and cycle(5).components() == [list(range(5))]
+    rng = random.Random(6)
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        g = Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15))
+        parts = g.components()
+        assert sorted(v for part in parts for v in part) == list(range(n))
+        assert [part[0] for part in parts] == sorted(part[0] for part in parts)
+        for part in parts:
+            assert part == sorted(part)
+            sub, _ = g.induced_subgraph(part)
+            assert sub.is_connected()
+        where = {v: i for i, part in enumerate(parts) for v in part}
+        assert all(where[u] == where[v] for u, v in g.edges)
+
+
 def test_induced_subgraph_relabels_densely():
     g = cycle(5)
     sub, kept = g.induced_subgraph([1, 2, 3, 4])

@@ -1,0 +1,54 @@
+"""Search placements on the benchmark's golden instances, gated per workload.
+
+Replays every variant of ``perfbench/golden/solve-connected.json`` and
+``perfbench/golden/count-union.json`` (read only), checks each answer against
+the recorded one, and sums the candidate placements that ``solver._search``
+makes.  A change that raises a total must say why and move its ceiling.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+import nearcolor
+from nearcolor import solver
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+CEILINGS = {"solve-connected": 365_146, "count-union": 120_775}
+
+
+def graph(n, edges):
+    return nearcolor.Graph(n, tuple(map(tuple, edges)))
+
+
+def replay(cell, v):
+    """Run one golden variant's call; return None when its answer matches."""
+    op = cell["op"]
+    if op == "solve":
+        res = nearcolor.solve(graph(cell["n"], v["edges"]), cell["k"], cell["rule"], cell["surjective"])
+        return None if (res.min_bad, list(res.witness.assignment)) == (v["min_bad"], v["witness"]) else v["id"]
+    if op == "count_optimal":
+        union, _ = nearcolor.disjoint_union(graph(cell["n"], v["left"]), graph(cell["n"], v["right"]))
+        count = nearcolor.count_optimal(union, cell["k"], cell["rule"], cell["surjective"])
+        return None if count == v["count"] else v["id"]
+    report = getattr(nearcolor, op)(graph(v["left_n"], v["left"]), graph(v["right_n"], v["right"]), v["k"])
+    return None if all(getattr(report, f) == want for f, want in v["report"].items()) else v["id"]
+
+
+@pytest.mark.parametrize("workload", sorted(CEILINGS))
+def test_golden_placements_stay_under_their_ceiling(workload, monkeypatch):
+    total = 0
+    search = solver._search
+
+    def counting(g, k, rule, surjective, order, bound, leaf, budget, spent, drop=None):
+        nonlocal total
+        out = search(g, k, rule, surjective, order, bound, leaf, budget, spent, drop)
+        total += out - spent
+        return out
+
+    monkeypatch.setattr(solver, "_search", counting)
+    cells = json.loads((GOLDEN / f"{workload}.json").read_text(encoding="utf-8"))["cells"]
+    wrong = [replay(cell, v) for cell in cells for v in cell["variants"]]
+    assert [w for w in wrong if w] == []
+    assert total <= CEILINGS[workload]

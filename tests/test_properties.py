@@ -3,7 +3,15 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearcolor import Graph, RuleMode, SolverConfig, chromatic_number, enumerate_oracle, solve
+from nearcolor import (
+    Graph,
+    RuleMode,
+    SolverConfig,
+    chromatic_number,
+    disjoint_union,
+    enumerate_oracle,
+    solve,
+)
 
 SETTINGS = [(rule, surjective) for rule in RuleMode for surjective in (True, False)]
 
@@ -70,3 +78,35 @@ def test_no_bad_edge_exactly_when_k_reaches_the_chromatic_number(g, k):
     chi = chromatic_number(g)
     for rule, surjective in SETTINGS:
         assert (solve(g, k, rule, surjective).min_bad == 0) == (k >= chi)
+
+
+# The split at connected components rests on the next three properties.
+
+
+@settings(deadline=None)
+@given(small_graphs(), st.integers(min_value=1, max_value=7))
+def test_surjectivity_never_raises_the_minimum(g, k):
+    if k > g.n:
+        return
+    for rule in RuleMode:
+        assert solve(g, k, rule, True).min_bad == solve(g, k, rule, False).min_bad
+
+
+@settings(deadline=None)
+@given(small_graphs(max_n=4), small_graphs(max_n=4), st.integers(min_value=1, max_value=4))
+def test_union_minimum_is_the_sum_of_the_sides(g, h, k):
+    union, _ = disjoint_union(g, h)
+    for rule, surjective in SETTINGS:
+        if surjective and k > union.n:
+            continue
+        expect = solve(g, k, rule, False).min_bad + solve(h, k, rule, False).min_bad
+        assert solve(union, k, rule, surjective).min_bad == expect
+
+
+@settings(deadline=None)
+@given(small_graphs(max_n=4), small_graphs(max_n=4), st.integers(min_value=1, max_value=4))
+def test_unrestricted_union_counts_multiply_without_surjectivity(g, h, k):
+    union, _ = disjoint_union(g, h)
+    rule = RuleMode.UNRESTRICTED
+    (a, x), (b, y) = min_and_count(g, k, rule, False), min_and_count(h, k, rule, False)
+    assert min_and_count(union, k, rule, False) == (a + b, x * y)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from nearcolor import (
     complete,
     count_optimal,
     cycle,
+    disjoint_union,
     enumerate_oracle,
     greedy_heuristic,
     helm,
@@ -28,6 +30,7 @@ from nearcolor import (
     optimal_colorings,
     path,
     solve,
+    union_bound,
     wheel,
 )
 from nearcolor.verify import random_connected_graph
@@ -128,6 +131,76 @@ def test_partition_oracle_agrees_with_solve_and_enumeration():
                         if k**n <= 20_000:
                             o = enumerate_oracle(g, k, rule, surjective)
                             assert (o.min_bad, o.optimal_count) == expect
+
+
+def disconnected_graph(rng, n):
+    """Two to four random components (some maybe single vertices) on n vertices, labels shuffled."""
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(1, 3))))
+    edges, start = [], 0
+    for end in cuts + [n]:
+        part = random_connected_graph(rng, end - start, rng.choice((0.3, 0.6, 0.9)))
+        edges += [(u + start, v + start) for u, v in part.edges]
+        start = end
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, tuple((label[u], label[v]) for u, v in edges))
+
+
+def test_split_at_components_agrees_with_both_oracles():
+    # Shuffled labels interleave the components in the index-order walk.
+    rng = random.Random(12)
+    for n in (2, 3, 4, 5, 6, 7, 8, 9, 10, 10):
+        g = disconnected_graph(rng, n)
+        assert not g.is_connected()
+        for k in (1, 2, 3, 4):
+            for rule in RuleMode:
+                for surjective in (True, False):
+                    if surjective and k > n:
+                        continue
+                    counted = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+                    witness = solve(g, k, rule, surjective)
+                    assert witness.min_bad == counted.min_bad
+                    assert witness.witness == counted.witness
+                    assert is_valid(g, witness.witness, rule, surjective)
+                    assert bad_edges(g, witness.witness).count == witness.min_bad
+                    expect = partition_oracle(g, k, rule, surjective)
+                    assert (counted.min_bad, counted.optimal_count) == expect
+                    if k**n <= 20_000:
+                        o = enumerate_oracle(g, k, rule, surjective)
+                        assert (o.min_bad, o.optimal_count, o.witness) == (
+                            counted.min_bad,
+                            counted.optimal_count,
+                            witness.witness,
+                        )
+
+
+def random_graph(seed, n=16, p=0.3):
+    rng = random.Random(seed)
+    return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
+
+
+def test_union_of_two_16_vertex_graphs_fits_a_small_work_budget():
+    # Counting each unentered component at its minimum keeps the index-order
+    # walk small; a walk bounded by placed neighbours alone makes 617,847.
+    g, h = random_graph(1), random_graph(2)
+    assert union_bound(g, h, 3).exact == 2
+    u, _ = disjoint_union(g, h)
+    assert solve(u, 3, config=SolverConfig(work_budget=1607)).min_bad == 2
+    with pytest.raises(SizeLimitError):
+        solve(u, 3, config=SolverConfig(work_budget=1606))
+
+
+def test_deep_searches_fit_the_interpreter_stack():
+    # The search goes one Python frame deeper per vertex.
+    limit = sys.getrecursionlimit()
+    assert solve(path(3000), 1).min_bad == 2999
+    matching = Graph(3000, tuple((v, v + 1) for v in range(0, 3000, 2)))
+    assert solve(matching, 2).witness.assignment == (1, 2) * 1500
+    # At k = 2 the degree-ordered bound phase on a path improves its
+    # incumbent one bad edge at a time, so the budget runs out deep down.
+    with pytest.raises(SizeLimitError):
+        solve(path(3000), 2, config=SolverConfig(work_budget=10**5))
+    assert sys.getrecursionlimit() == limit
 
 
 def brute_force_optima(g, k, rule, surjective):
