@@ -3,7 +3,8 @@
 Canonical edge-list format: the first significant line is ``n m``, followed
 by exactly m lines ``u v`` with 0-based endpoints; ``#`` starts a comment.
 DIMACS coloring files (``p edge n m`` header, ``e u v`` 1-based lines, ``c``
-comments) are accepted on read and converted to 0-based indices.  The writer
+comments) are accepted on read and converted to 0-based indices.  A header
+declaring more than ``MAX_VERTICES`` vertices is rejected.  The writer
 always emits the canonical format with edges sorted lexicographically.
 """
 
@@ -14,6 +15,9 @@ import json
 from .coloring import Coloring
 from .errors import GraphFormatError, InvalidColoringError
 from .graph import Edge, Graph
+
+# Largest vertex count a graph file may declare, checked before any vertex is built.
+MAX_VERTICES = 10**6
 
 
 def _significant_lines(text: str, comment_prefix: str) -> list[tuple[int, str]]:
@@ -33,6 +37,13 @@ def _parse_int_pair(parts: list[str], line_no: int, what: str) -> tuple[int, int
         return int(parts[0]), int(parts[1])
     except ValueError:
         raise GraphFormatError(f"expected two integers for {what}, got {' '.join(parts)!r}", line_no)
+
+
+def _check_counts(n: int, m: int, line_no: int) -> None:
+    if n < 0 or m < 0:
+        raise GraphFormatError("vertex and edge counts must be non-negative", line_no)
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", line_no)
 
 
 def _collect_edges(
@@ -65,8 +76,7 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphFormatError("empty graph file")
     header_no, header = lines[0]
     n, m = _parse_int_pair(header.split(), header_no, "header 'n m'")
-    if n < 0 or m < 0:
-        raise GraphFormatError("vertex and edge counts must be non-negative", header_no)
+    _check_counts(n, m, header_no)
     body = lines[1:]
     if len(body) != m:
         raise GraphFormatError(
@@ -90,8 +100,7 @@ def parse_dimacs(text: str) -> Graph:
     if len(parts) != 4 or parts[0] != "p" or parts[1] != "edge":
         raise GraphFormatError(f"expected header 'p edge n m', got {header!r}", header_no)
     n, m = _parse_int_pair(parts[2:], header_no, "header 'p edge n m'")
-    if n < 0 or m < 0:
-        raise GraphFormatError("vertex and edge counts must be non-negative", header_no)
+    _check_counts(n, m, header_no)
     pairs = []
     for line_no, line in lines[1:]:
         parts = line.split()

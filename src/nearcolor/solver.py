@@ -476,21 +476,25 @@ def minimum_color_usage(
 ) -> MinUsage:
     """Minimum, over optimal colorings and colors, of a color's usage count.
 
-    Deterministic: colorings are scanned in lexicographic order and ties go
-    to the smallest color, so the returned witness is the first attaining
-    pair.  With surjectivity off the minimum may be 0 (an unused color).
-    Instances beyond the default work budget raise :class:`SizeLimitError`.
+    Deterministic: the first attaining coloring in lexicographic order, ties
+    to the smallest color.  With surjectivity off the minimum may be 0 (an
+    unused color).  Only canonical optima are scanned: a relabeled copy has
+    the same usage counts and is never lexicographically smaller.  Instances
+    beyond the default work budget raise :class:`SizeLimitError`.
     """
     best: MinUsage | None = None
-    for coloring in optimal_colorings(g, k, rule, surjective):
+
+    def first_smallest(colors: list[int], bad: int, used: int) -> int:
+        nonlocal best
         counts = [0] * (k + 1)
-        for c in coloring.assignment:
+        for c in colors:
             counts[c] += 1
         value = min(counts[1:])
         if best is None or value < best.value:
-            best = MinUsage(value, counts.index(value, 1), coloring)
-            if value == 0:
-                break
+            best = MinUsage(value, counts.index(value, 1), Coloring(tuple(colors), k))
+        return -1 if value == 0 else bad
+
+    _optimum(g, k, RuleMode(rule), surjective, DEFAULT_WORK_BUDGET, first_smallest)
     assert best is not None
     return best
 
@@ -572,86 +576,65 @@ def greedy_heuristic(
     Intended for graphs beyond the exact search's work budget.  The
     returned coloring is valid under ``rule`` but its bad-edge count is only
     an upper bound, flagged by ``exact=False``.  Never used as a test oracle.
+
+    Colors the vertices greedily in degree-descending order, then runs
+    passes of first-improvement moves in index order.  A pass costs
+    O(k * (n + m)), at most ``GREEDY_MAX_ROUNDS`` run, and the result is
+    deterministic.
     """
     rule = RuleMode(rule)
     _check_instance(g, k, surjective)
-    n = g.n
     one_class = rule is RuleMode.ONE_CLASS
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    colors = [0] * n
-    dirty = 0  # the one class allowed to contain adjacencies; 0 = none yet
+    colors = [0] * g.n
+    sizes = [g.n] + [0] * k  # class 0 holds the vertices not yet colored
+    current = 0
 
-    for v in order:
-        conflicts = [0] * (k + 1)
+    def conflicts(v: int) -> list[int]:
+        row = [0] * (k + 1)
         for u in g.adj[v]:
-            if colors[u]:
-                conflicts[colors[u]] += 1
-        choice = 0
-        for c in range(1, k + 1):
-            if conflicts[c] == 0:
-                choice = c
-                break
-        if choice == 0:
-            if one_class:
-                if dirty == 0:
-                    dirty = min(range(1, k + 1), key=lambda c: (conflicts[c], c))
-                choice = dirty
-            else:
-                choice = min(range(1, k + 1), key=lambda c: (conflicts[c], c))
-            if dirty == 0:
-                dirty = choice
-        colors[v] = choice
+            row[colors[u]] += 1
+        return row
 
-    def total_bad() -> int:
-        return sum(1 for u, v in g.edges if colors[u] == colors[v])
+    def move(v: int, c: int) -> None:
+        sizes[colors[v]] -= 1
+        sizes[c] += 1
+        colors[v] = c
 
-    def dirty_count() -> int:
-        return len({colors[u] for u, v in g.edges if colors[u] == colors[v]})
+    dirty = 0  # the one class allowed to contain adjacencies; 0 = none yet
+    for v in _degree_order(g):
+        row = conflicts(v)
+        low = min(row[1:])
+        c = row.index(low, 1)
+        if low and one_class:
+            c = dirty = dirty or c
+        current += row[c]
+        move(v, c)
 
     if surjective:
-        # Recoloring a vertex from a class of size >= 2 to a fresh color can
-        # never break validity, so repair picks the cheapest such vertex.
+        # A vertex meets a conflict only when its neighbors already use all k
+        # colors, so a color is left unused only by a proper coloring.  Each
+        # unused color takes the smallest vertex in a class of two or more,
+        # which keeps the coloring proper.
         for c in range(1, k + 1):
-            if c in colors:
-                continue
-            sizes = [0] * (k + 1)
-            for col in colors:
-                sizes[col] += 1
-            best_pick: tuple[int, int] | None = None
-            for v in range(n):
-                if sizes[colors[v]] < 2:
-                    continue
-                old = colors[v]
-                colors[v] = c
-                candidate = (total_bad(), v)
-                colors[v] = old
-                if best_pick is None or candidate < best_pick:
-                    best_pick = candidate
-            assert best_pick is not None
-            colors[best_pick[1]] = c
+            if not sizes[c]:
+                move(next(u for u in range(g.n) if sizes[colors[u]] > 1), c)
 
-    current = total_bad()
     for _ in range(GREEDY_MAX_ROUNDS):
-        improved = False
-        sizes = [0] * (k + 1)
-        for col in colors:
-            sizes[col] += 1
-        for v in range(n):
+        start = current
+        for v in range(g.n):
             old = colors[v]
             if surjective and sizes[old] == 1:
                 continue
+            row = conflicts(v)
             for c in range(1, k + 1):
-                if c == old:
-                    continue
-                colors[v] = c
-                if (not one_class or dirty_count() <= 1) and total_bad() < current:
-                    current = total_bad()
-                    sizes[old] -= 1
-                    sizes[c] += 1
-                    improved = True
+                # The move changes the bad-edge count by row[c] - row[old].  It
+                # lowers it only if v meets its own class, under the one-class
+                # rule the dirty one, which must be left clean if c turns dirty.
+                if row[c] < row[old] and (not one_class or not row[c] or row[old] == current):
+                    current += row[c] - row[old]
+                    move(v, c)
                     break
-                colors[v] = old
-        if not improved:
+        if current == start:
             break
 
     return SolveResult(

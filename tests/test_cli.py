@@ -86,6 +86,10 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--input", str(graph_file), "--k", "1")
     assert code == 2
     assert "self-loop" in err
+    graph_file.write_text("2000000000 0")  # 12 bytes declaring 2*10**9 vertices
+    code, _, err = run(capsys, "solve", "--input", str(graph_file), "--k", "1")
+    assert code == 2
+    assert "line 1" in err
 
 
 def test_missing_file_exits_2(capsys):

@@ -21,6 +21,7 @@ from nearcolor import (
     write_dot,
     write_edge_list,
 )
+from nearcolor.io import MAX_VERTICES
 
 
 def test_parse_edge_list_triangle():
@@ -69,6 +70,15 @@ def test_parse_rejects_malformed_header_and_wrong_edge_count():
     for text in ("x y\n", "3\n0 1\n", "3 2\n0 1\n", "p edge x 1\ne 1 2\n", "p foo 3 1\ne 1 2\n", ""):
         with pytest.raises(GraphFormatError):
             parse_graph(text)
+
+
+def test_parse_rejects_a_vertex_count_above_the_limit():
+    for n in (MAX_VERTICES + 1, 2 * 10**9):
+        for parse, text, line_no in ((parse_edge_list, f"{n} 0\n", 1), (parse_dimacs, f"c huge\np edge {n} 0\n", 2)):
+            with pytest.raises(GraphFormatError) as exc:
+                parse(text)
+            assert exc.value.line_no == line_no
+            assert f"vertex count {n} exceeds" in str(exc.value)
 
 
 def test_parse_dimacs_rejects_unknown_line_type():

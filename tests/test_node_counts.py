@@ -1,9 +1,13 @@
-"""Search placements on the benchmark's golden instances, gated per workload.
+"""Answers and search placements on the benchmark's golden instances.
 
 Replays every variant of ``perfbench/golden/solve-connected.json`` and
 ``perfbench/golden/count-union.json`` (read only), checks each answer against
 the recorded one, and sums the candidate placements that ``solver._search``
 makes.  A change that raises a total must say why and move its ceiling.
+
+Also replays the heuristic variants of ``perfbench/golden/cli-adjudicate.json``
+and requires their recorded colorings exactly: a change that alters the
+heuristic's choices must say so and update this pin.
 """
 
 import json
@@ -52,3 +56,13 @@ def test_golden_placements_stay_under_their_ceiling(workload, monkeypatch):
     wrong = [replay(cell, v) for cell in cells for v in cell["variants"]]
     assert [w for w in wrong if w] == []
     assert total <= CEILINGS[workload]
+
+
+def test_heuristic_keeps_its_golden_colorings():
+    cells = json.loads((GOLDEN / "cli-adjudicate.json").read_text(encoding="utf-8"))["cells"]
+    (cell,) = [c for c in cells if c["cell"] == "solve-heuristic"]
+    assert len(cell["variants"]) == 8
+    for v in cell["variants"]:
+        want = v["fields"]
+        res = nearcolor.greedy_heuristic(graph(v["n"], v["edges"]), want["k"], want["rule"], want["surjective"])
+        assert (res.min_bad, list(res.witness.assignment)) == (want["min_bad"], want["witness"]), v["id"]

@@ -392,16 +392,23 @@ def test_heuristic_returns_valid_upper_bound():
     rng = random.Random(31)
     for _ in range(10):
         g = random_connected_graph(rng, rng.randint(4, 9))
-        for rule in RuleMode:
-            res = greedy_heuristic(g, 2, rule, True)
-            assert res.exact is False
-            assert is_valid(g, res.witness, rule, True)
-            assert bad_edges(g, res.witness).count == res.min_bad
-            assert res.min_bad >= solve(g, 2, rule, True).min_bad
+        for k in range(1, 5):
+            for rule in RuleMode:
+                for surjective in (True, False):
+                    res = greedy_heuristic(g, k, rule, surjective)
+                    assert res.exact is False
+                    assert is_valid(g, res.witness, rule, surjective)
+                    assert bad_edges(g, res.witness).count == res.min_bad
+                    assert res.min_bad >= solve(g, k, rule, surjective).min_bad
 
 
 def test_heuristic_handles_larger_graph_than_enumeration_cap():
-    g = random_connected_graph(random.Random(41), 40, extra_edge_prob=0.15)
-    res = greedy_heuristic(g, 3, RuleMode.ONE_CLASS, True)
-    assert res.exact is False
-    assert is_valid(g, res.witness, RuleMode.ONE_CLASS, True)
+    rng = random.Random(3000)
+    edges = set()
+    while len(edges) < 7500:
+        edges.add(tuple(sorted(rng.sample(range(3000), 2))))
+    for g in (random_connected_graph(random.Random(41), 40, extra_edge_prob=0.15), Graph(3000, tuple(edges))):
+        res = greedy_heuristic(g, 3, RuleMode.ONE_CLASS, True)
+        assert res.exact is False
+        assert is_valid(g, res.witness, RuleMode.ONE_CLASS, True)
+        assert bad_edges(g, res.witness).count == res.min_bad
