@@ -18,6 +18,7 @@ from typing import Iterable, Mapping
 from .errors import InvalidParameterError
 
 Edge = tuple[int, int]
+_NO_NEIGHBORS: frozenset[int] = frozenset()
 
 
 def _normalized(u: int, v: int) -> Edge:
@@ -53,11 +54,15 @@ class Graph:
                 raise InvalidParameterError(f"duplicate edge {e!r}")
             seen.add(e)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
-        neighbors: list[set[int]] = [set() for _ in range(self.n)]
+        # Only vertices with edges get a set of their own; isolated ones share one.
+        neighbors: dict[int, set[int]] = {}
         for u, v in self.edges:
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        object.__setattr__(self, "adj", tuple(frozenset(s) for s in neighbors))
+            neighbors.setdefault(u, set()).add(v)
+            neighbors.setdefault(v, set()).add(u)
+        adj = [_NO_NEIGHBORS] * self.n
+        for v, s in neighbors.items():
+            adj[v] = frozenset(s)
+        object.__setattr__(self, "adj", tuple(adj))
 
     @property
     def m(self) -> int:

@@ -47,8 +47,18 @@ nothing.  The bound phase therefore runs once per component.  The optimum
 walk still runs over the whole graph, and its look-ahead bound also counts
 the minimum of every component it has not yet entered.
 
+Each component's bound phase is seeded with an incumbent, as exact coloring
+codes start from a DSATUR coloring (Brelaz 1979): H, the bad edges of the
+coloring that ``greedy_heuristic`` builds for the component with
+surjectivity off.  That coloring is valid, so H bounds the minimum from
+above, and by the argument above surjectivity does not change the minimum.
+The search starts at bound H - 1, so it only has to beat H or prove it
+optimal, and it does not run at all when H is 0.  The heuristic makes no
+placements and its polynomial work is not charged to the work budget.
+
 The chromatic number comes from the same kernel: it is the smallest k for
-which a search with bound 0 and surjectivity off reaches a leaf.
+which a search with bound 0 and surjectivity off reaches a leaf, and the
+largest over the connected components, each searched on its own.
 
 One deterministic work budget bounds every exact entry point.  Each search
 node charges the number of colors it is about to try, so the budget counts
@@ -315,9 +325,11 @@ def _optimum(
     """Proven minimum bad-edge count; ``leaf`` sees the canonical optima in order.
 
     Rejects the instance if it is invalid.  The bound phase runs once per
-    connected component, relabeled densely, in degree-descending order,
-    tightening the bound to one below each incumbent.  Surjectivity is off
-    there unless g is connected: the sum of the component minima is the
+    connected component, relabeled densely, in degree-descending order.  Its
+    first incumbent is the greedy coloring's bad-edge count H (surjectivity
+    off), so it searches at bound H - 1, is skipped when H is 0, and
+    tightens the bound to one below each better incumbent.  Surjectivity is
+    off there unless g is connected: the sum of the component minima is the
     minimum either way (see the module docstring).  The optimum walk then
     runs over all of g in vertex-index order with that minimum as a fixed
     bound and each component's minimum as ``drop`` at its first vertex, so
@@ -327,7 +339,6 @@ def _optimum(
     _check_instance(g, k, surjective)
     parts = g.components()
     drop = [0] * g.n
-    found = 0
 
     def improve(colors: list[int], bad: int, used: int) -> int:
         nonlocal found
@@ -336,8 +347,11 @@ def _optimum(
 
     spent = 0
     for part, sub in zip(parts, _split(g, parts)):
-        spent = _search(sub, k, rule, surjective and len(parts) == 1, _degree_order(sub),
-                        sub.m, improve, budget, spent)
+        order = _degree_order(sub)
+        found, _ = _greedy(sub, k, rule, False, order)
+        if found:
+            spent = _search(sub, k, rule, surjective and len(parts) == 1, order,
+                            found - 1, improve, budget, spent)
         drop[part[0]] = found
     best = sum(drop)
     _search(g, k, rule, surjective, range(g.n), best, leaf, budget, spent, drop)
@@ -364,13 +378,13 @@ def chromatic_number(g: Graph) -> int:
     """Exact chromatic number: the smallest k whose search with bound 0 and
     surjectivity off reaches a leaf, i.e. finds a proper coloring.
 
-    Every k tried draws on one default work budget; past it the search
-    raises :class:`SizeLimitError`.
+    It is the largest over the connected components, so each component is
+    searched on its own, starting from the largest k the earlier ones
+    needed.  Every search draws on one default work budget; past it the
+    search raises :class:`SizeLimitError`.
     """
     if g.n < 1:
         raise InvalidParameterError("chromatic number needs at least one vertex")
-    order = _degree_order(g)
-    found = False
 
     def proper(colors: list[int], bad: int, used: int) -> int:
         nonlocal found
@@ -378,10 +392,15 @@ def chromatic_number(g: Graph) -> int:
         return -1
 
     spent = 0
-    k = 0
-    while not found:
-        k += 1
-        spent = _search(g, k, RuleMode.UNRESTRICTED, False, order, 0, proper, DEFAULT_WORK_BUDGET, spent)
+    k = 1
+    for sub in _split(g, g.components()):
+        order = _degree_order(sub)
+        found = False
+        while True:
+            spent = _search(sub, k, RuleMode.UNRESTRICTED, False, order, 0, proper, DEFAULT_WORK_BUDGET, spent)
+            if found:
+                break
+            k += 1
     return k
 
 
@@ -584,6 +603,21 @@ def greedy_heuristic(
     """
     rule = RuleMode(rule)
     _check_instance(g, k, surjective)
+    bad, colors = _greedy(g, k, rule, surjective, _degree_order(g))
+    return SolveResult(
+        min_bad=bad,
+        witness=Coloring(tuple(colors), k),
+        rule=rule,
+        surjective=surjective,
+        optimal_count=None,
+        exact=False,
+    )
+
+
+def _greedy(
+    g: Graph, k: int, rule: RuleMode, surjective: bool, order: Sequence[int]
+) -> tuple[int, list[int]]:
+    """``greedy_heuristic``'s (bad edges, colors) on a checked instance, coloring in ``order``."""
     one_class = rule is RuleMode.ONE_CLASS
     colors = [0] * g.n
     sizes = [g.n] + [0] * k  # class 0 holds the vertices not yet colored
@@ -601,7 +635,7 @@ def greedy_heuristic(
         colors[v] = c
 
     dirty = 0  # the one class allowed to contain adjacencies; 0 = none yet
-    for v in _degree_order(g):
+    for v in order:
         row = conflicts(v)
         low = min(row[1:])
         c = row.index(low, 1)
@@ -636,12 +670,4 @@ def greedy_heuristic(
                     break
         if current == start:
             break
-
-    return SolveResult(
-        min_bad=current,
-        witness=Coloring(tuple(colors), k),
-        rule=rule,
-        surjective=surjective,
-        optimal_count=None,
-        exact=False,
-    )
+    return current, colors

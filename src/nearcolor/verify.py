@@ -8,9 +8,10 @@ partition DP) is tested.  All randomness is driven by an explicit seed.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .coloring import RuleMode
 from .errors import InvalidParameterError
@@ -61,16 +62,37 @@ def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 
     return Graph(n, tuple(edges))
 
 
+def _first_appearance(n: int, colors: int) -> Iterator[tuple[list[int], int]]:
+    """Every assignment of colors ``0..colors-1`` to n items whose colors first
+    appear in ascending order, with the number of colors it uses.
+
+    Renaming colors keeps bad-edge counts and class sizes, and each such
+    assignment using j colors stands for ``math.perm(colors, j)`` assignments
+    of the full ``colors**n`` scan.  The yielded list is reused.
+    """
+    assign = [0] * n
+
+    def extend(i: int, used: int) -> Iterator[tuple[list[int], int]]:
+        if i == n:
+            yield assign, used
+            return
+        for c in range(min(used + 1, colors)):
+            assign[i] = c
+            yield from extend(i + 1, used + (c == used))
+
+    return extend(0, 0)
+
+
 def count_by_bad_edges(g: Graph, colors: int) -> list[int]:
     """Histogram over all colors**n assignments of the number of bad edges."""
     hist = [0] * (g.m + 1)
     edges = g.edges
-    for assign in itertools.product(range(1, colors + 1), repeat=g.n):
+    for assign, used in _first_appearance(g.n, colors):
         bad = 0
         for u, v in edges:
             if assign[u] == assign[v]:
                 bad += 1
-        hist[bad] += 1
+        hist[bad] += math.perm(colors, used)
     return hist
 
 
@@ -79,15 +101,12 @@ def count_single_big_class_assignments(n: int, k: int, colors: int) -> int:
     one class of size n-k+1 and all other classes singletons."""
     big = n - k + 1
     total = 0
-    for assign in itertools.product(range(colors), repeat=n):
-        sizes: dict[int, int] = {}
-        for c in assign:
-            sizes[c] = sizes.get(c, 0) + 1
-        if len(sizes) != k:
+    for assign, used in _first_appearance(n, colors):
+        if used != k:
             continue
-        counts = sorted(sizes.values(), reverse=True)
+        counts = sorted((assign.count(c) for c in range(k)), reverse=True)
         if counts[0] == big and all(c == 1 for c in counts[1:]):
-            total += 1
+            total += math.perm(colors, k)
     return total
 
 

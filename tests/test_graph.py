@@ -1,6 +1,7 @@
 """Graph construction, family generators, operations, and chromatic number."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -55,6 +56,20 @@ def test_graph_rejects_duplicate_edges():
 def test_graph_rejects_out_of_range():
     with pytest.raises(InvalidParameterError):
         Graph(2, ((0, 2),))
+
+
+def test_isolated_vertices_share_one_empty_neighbor_set():
+    tracemalloc.start()
+    try:
+        g = Graph(10**6, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A set of its own per vertex costs over 200 bytes; the shared one costs a pointer.
+    assert peak < 32 * 10**6
+    assert g.adj[0] is g.adj[-1] and not g.adj[0]
+    h = Graph(4, ((1, 2),))
+    assert h.adj == (frozenset(), frozenset({2}), frozenset({1}), frozenset())
 
 
 def test_adjacency_is_symmetric_and_degree_sum_is_twice_m():
@@ -234,6 +249,20 @@ def test_chromatic_number_is_smallest_k_without_bad_edges_in_the_oracle():
             if enumerate_oracle(g, k, RuleMode.UNRESTRICTED, surjective=False).min_bad == 0
         )
         assert chromatic_number(g) == smallest
+
+
+def test_chromatic_number_is_the_largest_over_the_components(monkeypatch):
+    u, _ = disjoint_union(complete(5), path(40))
+    assert chromatic_number(u) == 5
+    assert chromatic_number(disjoint_union(path(3), cycle(7))[0]) == 3
+    assert chromatic_number(Graph(6, ((4, 5),))) == 2
+    # K5 tries k = 1..5 for 35 placements; the path is then tried at k = 5
+    # only, for 117.  All of it draws on one budget.
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 152)
+    assert chromatic_number(u) == 5
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 151)
+    with pytest.raises(SizeLimitError):
+        chromatic_number(u)
 
 
 def test_chromatic_number_helm5_needs_four_colors():

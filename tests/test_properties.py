@@ -1,6 +1,6 @@
 """Metamorphic properties of the exact solver, checked on generated graphs."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearcolor import (
@@ -12,6 +12,8 @@ from nearcolor import (
     enumerate_oracle,
     solve,
 )
+from partition_oracle import partition_oracle
+from test_solver import NEAR_MISS_K2, NEAR_MISS_K3
 
 SETTINGS = [(rule, surjective) for rule in RuleMode for surjective in (True, False)]
 
@@ -110,3 +112,37 @@ def test_unrestricted_union_counts_multiply_without_surjectivity(g, h, k):
     rule = RuleMode.UNRESTRICTED
     (a, x), (b, y) = min_and_count(g, k, rule, False), min_and_count(h, k, rule, False)
     assert min_and_count(union, k, rule, False) == (a + b, x * y)
+
+
+@st.composite
+def unions(draw, max_n=6):
+    """Disjoint unions of graphs on 1-4 vertices, isolated vertices among them, labels shuffled."""
+    edges, n = [], 0
+    for size in draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4)):
+        if n + size > max_n:
+            break
+        possible = [(u + n, v + n) for u in range(size) for v in range(u + 1, size)]
+        if possible:
+            edges += draw(st.lists(st.sampled_from(possible), unique=True))
+        n += size
+    label = draw(st.permutations(range(n)))
+    return Graph(n, tuple((label[u], label[v]) for u, v in edges))
+
+
+# Each component's bound phase starts from the greedy coloring's bad edges:
+# it beats them, proves them optimal, or is skipped when there are none.
+
+
+@settings(deadline=None)
+@given(unions(), st.integers(min_value=1, max_value=4))
+@example(disjoint_union(Graph(1), NEAR_MISS_K2)[0], 2)
+@example(disjoint_union(NEAR_MISS_K3, Graph(1))[0], 3)
+def test_seeded_search_matches_both_oracles_on_unions(g, k):
+    for rule, surjective in SETTINGS:
+        if surjective and k > g.n:
+            continue
+        o = enumerate_oracle(g, k, rule, surjective)
+        s = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+        assert (s.min_bad, s.optimal_count, s.witness) == (o.min_bad, o.optimal_count, o.witness)
+        assert solve(g, k, rule, surjective).witness == o.witness
+        assert partition_oracle(g, k, rule, surjective) == (o.min_bad, o.optimal_count)

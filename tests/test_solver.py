@@ -33,6 +33,7 @@ from nearcolor import (
     union_bound,
     wheel,
 )
+from nearcolor import solver
 from nearcolor.verify import random_connected_graph
 from partition_oracle import partition_oracle
 
@@ -174,6 +175,42 @@ def test_split_at_components_agrees_with_both_oracles():
                         )
 
 
+# Graphs on which the greedy coloring misses the one-class minimum by one
+# bad edge: at k = 2 it finds 5 of 4, at k = 3 it finds 1 of 0.
+NEAR_MISS_K2 = Graph(7, ((0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5),
+                         (3, 5), (4, 5), (5, 6)))
+NEAR_MISS_K3 = Graph(7, ((0, 1), (0, 2), (0, 3), (0, 6), (1, 2), (1, 4), (1, 5), (2, 5), (2, 6), (3, 4), (3, 5),
+                         (3, 6)))
+
+
+def test_greedy_seed_bounds_each_component_from_above():
+    # The bound phase of each component starts from the greedy coloring's bad
+    # edges, H: the search beats H, proves it optimal, or is skipped at H = 0.
+    rng = random.Random(21)
+    graphs = [disconnected_graph(rng, rng.randint(2, 8)) for _ in range(30)]
+    graphs += [disjoint_union(Graph(1), g)[0] for g in (NEAR_MISS_K2, NEAR_MISS_K3)]
+    seen = set()
+    for g in graphs:
+        for k in (1, 2, 3, 4):
+            for rule in RuleMode:
+                for part in g.components():
+                    sub, _ = g.induced_subgraph(part)
+                    h, colors = solver._greedy(sub, k, rule, False, solver._degree_order(sub))
+                    seed = Coloring(tuple(colors), k)
+                    assert is_valid(sub, seed, rule, False) and bad_edges(sub, seed).count == h
+                    best = partition_oracle(sub, k, rule, False)[0]
+                    assert h >= best
+                    beaten = f"{min(h, 2)} beaten by {min(h - best, 2)}"
+                    seen.add("skipped" if h == 0 else "proved" if h == best else beaten)
+                for surjective in (True, False):
+                    if surjective and k > g.n:
+                        continue
+                    s = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+                    assert (s.min_bad, s.optimal_count) == partition_oracle(g, k, rule, surjective)
+                    assert solve(g, k, rule, surjective).witness == s.witness
+    assert seen == {"skipped", "proved", "1 beaten by 1", "2 beaten by 1", "2 beaten by 2"}
+
+
 def random_graph(seed, n=16, p=0.3):
     rng = random.Random(seed)
     return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
@@ -182,12 +219,13 @@ def random_graph(seed, n=16, p=0.3):
 def test_union_of_two_16_vertex_graphs_fits_a_small_work_budget():
     # Counting each unentered component at its minimum keeps the index-order
     # walk small; a walk bounded by placed neighbours alone makes 617,847.
+    # The seeded bound phases make 151 placements and the walk 456.
     g, h = random_graph(1), random_graph(2)
     assert union_bound(g, h, 3).exact == 2
     u, _ = disjoint_union(g, h)
-    assert solve(u, 3, config=SolverConfig(work_budget=1607)).min_bad == 2
+    assert solve(u, 3, config=SolverConfig(work_budget=607)).min_bad == 2
     with pytest.raises(SizeLimitError):
-        solve(u, 3, config=SolverConfig(work_budget=1606))
+        solve(u, 3, config=SolverConfig(work_budget=606))
 
 
 def test_deep_searches_fit_the_interpreter_stack():
@@ -196,10 +234,12 @@ def test_deep_searches_fit_the_interpreter_stack():
     assert solve(path(3000), 1).min_bad == 2999
     matching = Graph(3000, tuple((v, v + 1) for v in range(0, 3000, 2)))
     assert solve(matching, 2).witness.assignment == (1, 2) * 1500
-    # At k = 2 the degree-ordered bound phase on a path improves its
-    # incumbent one bad edge at a time, so the budget runs out deep down.
+    # The greedy seed colors a path properly, so no bound phase runs and the
+    # index-order walk makes 1 + 2 * 2999 placements.  One fewer runs out
+    # at the last vertex, 3000 frames deep, past the default recursion limit.
+    assert solve(path(3000), 2, config=SolverConfig(work_budget=5999)).min_bad == 0
     with pytest.raises(SizeLimitError):
-        solve(path(3000), 2, config=SolverConfig(work_budget=10**5))
+        solve(path(3000), 2, config=SolverConfig(work_budget=5998))
     assert sys.getrecursionlimit() == limit
 
 
@@ -305,11 +345,11 @@ def test_every_exact_entry_point_honours_the_cap():
 
 
 def test_one_work_budget_covers_every_search_of_a_call(monkeypatch):
-    # Counting K10 with 4 colors makes 1248 candidate placements in the bound
+    # Counting K10 with 4 colors makes 1239 candidate placements in the bound
     # phase and 1409 in the optimum walk; the call is charged for both.
-    assert solve(complete(10), 4, config=SolverConfig(work_budget=2657, count_optimal=True)).optimal_count == 2880
+    assert solve(complete(10), 4, config=SolverConfig(work_budget=2648, count_optimal=True)).optimal_count == 2880
     with pytest.raises(SizeLimitError):
-        solve(complete(10), 4, config=SolverConfig(work_budget=2656, count_optimal=True))
+        solve(complete(10), 4, config=SolverConfig(work_budget=2647, count_optimal=True))
     # chi(K6) tries k = 1..6 for 56 placements in all, at most 21 for one k.
     monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 56)
     assert chromatic_number(complete(6)) == 6
@@ -412,3 +452,42 @@ def test_heuristic_handles_larger_graph_than_enumeration_cap():
         assert res.exact is False
         assert is_valid(g, res.witness, RuleMode.ONE_CLASS, True)
         assert bad_edges(g, res.witness).count == res.min_bad
+
+
+def cascade_graph(length):
+    """A chain 0..length-1 whose greedy coloring is repaired one vertex per pass.
+
+    Posts p1 and p1b take color 1 and p2 color 2 (four leaves each put p1 and
+    p1b first in degree order).  Each chain vertex j >= 1 has two anchors
+    that the construction gives j's own color, one bad edge each: next to
+    p2 for odd j, next to p1 and p1b for even j.  The chain alternates, so
+    every chain vertex ties between its two colors except the last, which
+    moves in the first pass.  Each move tips the chain vertex below, which
+    the index-order pass has already left behind, so it moves in the next.
+    """
+    p1, p1b, p2 = length, length + 1, length + 2
+    edges = [(j, j + 1) for j in range(length - 1)] + [(p1, p2), (p1b, p2)]
+    v = length + 3
+    for j in range(1, length):
+        for _ in range(2):
+            edges += [(j, v), (p2, v)] if j % 2 else [(j, v), (p1, v), (p1b, v)]
+            v += 1
+    for p in (p1, p1b):
+        edges += [(p, v + i) for i in range(4)]
+        v += 4
+    return Graph(v, tuple(edges))
+
+
+def test_heuristic_pins_its_repair_and_its_pass_cap():
+    # The construction leaves a color unused only on a proper coloring, and
+    # the repair keeps it proper, so no one input reaches both steps.  The
+    # repair moves the smallest vertex of a class of two or more.
+    assert greedy_heuristic(path(4), 3).witness.assignment == (3, 1, 2, 1)
+    assert greedy_heuristic(path(4), 4).witness.assignment == (3, 4, 2, 1)
+    # The chain needs 22 improving passes and GREEDY_MAX_ROUNDS = 20 stops
+    # two short: 19 passes leave 5 bad edges, 20 leave 3, 21 would leave 1.
+    g = cascade_graph(22)
+    res = greedy_heuristic(g, 2, RuleMode.UNRESTRICTED, False)
+    assert res.min_bad == 3 == bad_edges(g, res.witness).count
+    chain, posts, anchors, leaves = "2112121212121212121212", "112", "1122" * 10 + "11", "2" * 8
+    assert "".join(map(str, res.witness.assignment)) == chain + posts + anchors + leaves

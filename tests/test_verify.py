@@ -1,8 +1,9 @@
 """The verification harness: suites, statuses, and seeded reproducibility."""
 
+import itertools
 import random
 
-from nearcolor import RuleMode, complete, cycle, enumerate_oracle, helm, path, wheel
+from nearcolor import Graph, RuleMode, complete, cycle, enumerate_oracle, helm, path, wheel
 from nearcolor.verify import (
     STATUS_KNOWN_MISMATCH,
     STATUS_MATCH,
@@ -11,6 +12,7 @@ from nearcolor.verify import (
     CheckRow,
     bounds_suite,
     count_by_bad_edges,
+    count_single_big_class_assignments,
     family_suite,
     has_hard_mismatch,
     poly_suite,
@@ -44,6 +46,31 @@ def test_count_by_bad_edges_totals_and_minimum_agree_with_oracle():
     res = enumerate_oracle(g, 2, RuleMode.UNRESTRICTED, surjective=False)
     assert hist[res.min_bad] == res.optimal_count
     assert all(count == 0 for count in hist[: res.min_bad])
+
+
+def product_counts(g, colors):
+    """Bad-edge histogram and class-size profiles by a plain scan of all colors**n assignments."""
+    hist = [0] * (g.m + 1)
+    sizes = {}
+    for assign in itertools.product(range(colors), repeat=g.n):
+        hist[sum(1 for u, v in g.edges if assign[u] == assign[v])] += 1
+        profile = tuple(sorted((assign.count(c) for c in set(assign)), reverse=True))
+        sizes[profile] = sizes.get(profile, 0) + 1
+    return hist, sizes
+
+
+def test_first_appearance_counts_agree_with_the_full_scan():
+    rng = random.Random(8)
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        p = rng.choice((0.2, 0.5, 0.9))
+        g = Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
+        for colors in range(1, 5):
+            hist, sizes = product_counts(g, colors)
+            assert count_by_bad_edges(g, colors) == hist
+            for k in range(1, n + 1):
+                single_big = (n - k + 1,) + (1,) * (k - 1)
+                assert count_single_big_class_assignments(n, k, colors) == sizes.get(single_big, 0)
 
 
 def test_family_suite_has_no_undocumented_mismatches():
