@@ -1,4 +1,4 @@
-"""Coloring semantics: bad edges, class-adjacency rules, and color-usage counts.
+"""Coloring semantics: bad edges, class-adjacency rules, and validity.
 
 A *bad edge* is an edge whose endpoints carry the same color.  All operations
 here are pure functions over immutable inputs and safe for concurrent use.
@@ -98,44 +98,3 @@ def is_valid(
     if rule is RuleMode.ONE_CLASS and adjacent_class_count(g, coloring) > 1:
         return False
     return True
-
-
-@dataclass(frozen=True)
-class ColorUsage:
-    """How many vertices carry each color 1..k (``counts[i]`` is color i+1)."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.counts)
-
-    def count(self, color: int) -> int:
-        if not 1 <= color <= self.k:
-            raise InvalidParameterError(f"color {color} out of range 1..{self.k}")
-        return self.counts[color - 1]
-
-    def as_dict(self) -> dict[int, int]:
-        return {c + 1: self.counts[c] for c in range(self.k)}
-
-
-def color_usage(g: Graph, coloring: Coloring) -> ColorUsage:
-    """Usage profile of a coloring; validates that it fits the graph."""
-    _check_fit(g, coloring)
-    counts = [0] * coloring.k
-    for c in coloring.assignment:
-        counts[c - 1] += 1
-    return ColorUsage(tuple(counts))
-
-
-def cross_bad_edges(left: ColorUsage, right: ColorUsage) -> int:
-    """Bad edges a join would create between sides with these usage profiles.
-
-    Every cross pair is adjacent in a join, so color i contributes
-    ``left(i) * right(i)`` bad edges.
-    """
-    if left.k != right.k:
-        raise InvalidParameterError(
-            f"usage profiles must range over the same color set, got {left.k} and {right.k}"
-        )
-    return sum(a * b for a, b in zip(left.counts, right.counts))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .coloring import Coloring
+from .coloring import Coloring, _check_fit
 from .errors import GraphFormatError, InvalidColoringError
 from .graph import Edge, Graph
 
@@ -144,10 +144,7 @@ def write_dot(g: Graph, coloring: Coloring | None = None) -> str:
     """DOT text for the graph; vertices carry a ``color`` attribute if given."""
     lines = ["graph G {"]
     if coloring is not None:
-        if coloring.n != g.n:
-            raise InvalidColoringError(
-                f"coloring has {coloring.n} entries for a graph on {g.n} vertices"
-            )
+        _check_fit(g, coloring)
         for v in range(g.n):
             lines.append(f"  {v} [color={coloring.assignment[v]}];")
     for u, v in g.edges:

@@ -43,9 +43,9 @@ so the minimum is the sum of the components' minima with surjectivity off,
 under both rules: each component's dirty class can be renamed to one shared
 color, and with k <= n a vertex moved from a class of two or more into an
 unused color adds no bad edge and no dirty class, so surjectivity costs
-nothing.  The bound phase therefore runs once per component.  The optimum
-walk still runs over the whole graph, and its look-ahead bound also counts
-the minimum of every component it has not yet entered.
+nothing.  The bound phase therefore runs once per component with an edge.
+The optimum walk still runs over the whole graph, and its look-ahead bound
+also counts the minimum of every component it has not yet entered.
 
 Each component's bound phase is seeded with an incumbent, as exact coloring
 codes start from a DSATUR coloring (Brelaz 1979): H, the bad edges of the
@@ -325,16 +325,16 @@ def _optimum(
     """Proven minimum bad-edge count; ``leaf`` sees the canonical optima in order.
 
     Rejects the instance if it is invalid.  The bound phase runs once per
-    connected component, relabeled densely, in degree-descending order.  Its
-    first incumbent is the greedy coloring's bad-edge count H (surjectivity
-    off), so it searches at bound H - 1, is skipped when H is 0, and
-    tightens the bound to one below each better incumbent.  Surjectivity is
-    off there unless g is connected: the sum of the component minima is the
-    minimum either way (see the module docstring).  The optimum walk then
-    runs over all of g in vertex-index order with that minimum as a fixed
-    bound and each component's minimum as ``drop`` at its first vertex, so
-    every leaf it reaches is optimal; ``leaf`` returns that bound to go on,
-    or -1 to stop.  All searches draw on one work budget.
+    connected component with an edge, relabeled densely, in degree-descending
+    order.  Its first incumbent is the greedy coloring's bad-edge count H
+    (surjectivity off), so it searches at bound H - 1, is skipped when H is
+    0, and tightens the bound to one below each better incumbent.
+    Surjectivity is off there unless g is connected: the sum of the
+    component minima is the minimum either way (see the module docstring).
+    The optimum walk then runs over all of g in vertex-index order with that
+    minimum as a fixed bound and each component's minimum as ``drop`` at its
+    first vertex, so every leaf it reaches is optimal; ``leaf`` returns that
+    bound to go on, or -1 to stop.  All searches draw on one work budget.
     """
     _check_instance(g, k, surjective)
     parts = g.components()
@@ -346,7 +346,7 @@ def _optimum(
         return bad - 1
 
     spent = 0
-    for part, sub in zip(parts, _split(g, parts)):
+    for part, sub in _split(g, parts):
         order = _degree_order(sub)
         found, _ = _greedy(sub, k, rule, False, order)
         if found:
@@ -358,10 +358,12 @@ def _optimum(
     return best
 
 
-def _split(g: Graph, parts: list[list[int]]) -> list[Graph]:
-    """The subgraphs induced by ``parts``, relabeled densely in one pass over the edges."""
+def _split(g: Graph, parts: list[list[int]]) -> list[tuple[list[int], Graph]]:
+    """Each component in ``parts`` that has an edge, with the subgraph it induces
+    relabeled densely, in one pass over the edges.  No search needs the rest:
+    each is one vertex, with minimum 0 and chromatic number 1."""
     if len(parts) == 1:
-        return [g]
+        return [(parts[0], g)] if g.m else []
     where = [0] * g.n
     local = [0] * g.n
     for c, part in enumerate(parts):
@@ -371,16 +373,16 @@ def _split(g: Graph, parts: list[list[int]]) -> list[Graph]:
     edges: list[list[tuple[int, int]]] = [[] for _ in parts]
     for u, v in g.edges:
         edges[where[u]].append((local[u], local[v]))
-    return [Graph(len(part), tuple(e)) for part, e in zip(parts, edges)]
+    return [(part, Graph(len(part), tuple(e))) for part, e in zip(parts, edges) if e]
 
 
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number: the smallest k whose search with bound 0 and
     surjectivity off reaches a leaf, i.e. finds a proper coloring.
 
-    It is the largest over the connected components, so each component is
-    searched on its own, starting from the largest k the earlier ones
-    needed.  Every search draws on one default work budget; past it the
+    It is the largest over the connected components, so each component with
+    an edge is searched on its own, starting from the largest k the earlier
+    ones needed.  Every search draws on one default work budget; past it the
     search raises :class:`SizeLimitError`.
     """
     if g.n < 1:
@@ -393,7 +395,7 @@ def chromatic_number(g: Graph) -> int:
 
     spent = 0
     k = 1
-    for sub in _split(g, g.components()):
+    for _, sub in _split(g, g.components()):
         order = _degree_order(sub)
         found = False
         while True:
@@ -564,12 +566,12 @@ def k_chromatic_subgraph(
     Maximality over all k-chromatic subgraphs is not claimed.
     """
     rule = RuleMode(rule)
-    chi = chromatic_number(g)
-    if not 1 <= k < chi:
-        raise InvalidParameterError(
-            f"k must satisfy 1 <= k < chromatic number ({chi}), got {k}"
-        )
+    if not 1 <= k < g.n:
+        raise InvalidParameterError(f"k must satisfy 1 <= k < n ({g.n}), got {k}")
     result = solve(g, k, rule, True)
+    # For k <= n, some surjective k-coloring is proper exactly when k >= chi.
+    if result.min_bad == 0:
+        raise InvalidParameterError(f"k must stay below the chromatic number, got {k}")
     cover = bad_edge_vertex_cover(g, result.witness)
     removed = set(cover)
     sub, kept = g.induced_subgraph(v for v in range(g.n) if v not in removed)

@@ -3,7 +3,9 @@
 Produces tabular check rows consumed by the ``verify`` CLI subcommand and by
 the acceptance tests.  Every family row is settled by :func:`solve`, whose
 agreement with two independent oracles (full enumeration and a subset
-partition DP) is tested.  All randomness is driven by an explicit seed.
+partition DP) is tested.  The polynomial rows count assignments on the same
+search kernel, one per class of color renamings, under the same default work
+budget.  All randomness is driven by an explicit seed.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 from .coloring import RuleMode
 from .errors import InvalidParameterError
@@ -29,7 +30,7 @@ from .families import (
     wheel_formula,
 )
 from .graph import Graph, complete, cycle, helm, join, path, wheel
-from .solver import SolverConfig, solve
+from .solver import DEFAULT_WORK_BUDGET, SolverConfig, _search, solve
 
 STATUS_MATCH = "match"
 STATUS_MISMATCH = "mismatch"
@@ -62,51 +63,37 @@ def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 
     return Graph(n, tuple(edges))
 
 
-def _first_appearance(n: int, colors: int) -> Iterator[tuple[list[int], int]]:
-    """Every assignment of colors ``0..colors-1`` to n items whose colors first
-    appear in ascending order, with the number of colors it uses.
-
-    Renaming colors keeps bad-edge counts and class sizes, and each such
-    assignment using j colors stands for ``math.perm(colors, j)`` assignments
-    of the full ``colors**n`` scan.  The yielded list is reused.
-    """
-    assign = [0] * n
-
-    def extend(i: int, used: int) -> Iterator[tuple[list[int], int]]:
-        if i == n:
-            yield assign, used
-            return
-        for c in range(min(used + 1, colors)):
-            assign[i] = c
-            yield from extend(i + 1, used + (c == used))
-
-    return extend(0, 0)
-
-
 def count_by_bad_edges(g: Graph, colors: int) -> list[int]:
-    """Histogram over all colors**n assignments of the number of bad edges."""
+    """Histogram over all colors**n assignments of the number of bad edges.
+
+    The search kernel visits one assignment per class of color renamings;
+    one using j colors stands for ``math.perm(colors, j)`` assignments.  No
+    assignment has more than m bad edges, so its bound m prunes nothing.
+    """
     hist = [0] * (g.m + 1)
-    edges = g.edges
-    for assign, used in _first_appearance(g.n, colors):
-        bad = 0
-        for u, v in edges:
-            if assign[u] == assign[v]:
-                bad += 1
+
+    def tally(assign: list[int], bad: int, used: int) -> int:
         hist[bad] += math.perm(colors, used)
+        return g.m
+
+    _search(g, colors, RuleMode.UNRESTRICTED, False, range(g.n), g.m, tally, DEFAULT_WORK_BUDGET, 0)
     return hist
 
 
 def count_single_big_class_assignments(n: int, k: int, colors: int) -> int:
     """Assignments of ``colors`` colors to n items using exactly k colors,
-    one class of size n-k+1 and all other classes singletons."""
-    big = n - k + 1
+    one class of size n-k+1 and all other classes singletons; counted as
+    :func:`count_by_bad_edges` counts, on the edgeless graph at bound 0."""
+    sizes = [1] * (k - 1) + [n - k + 1]
     total = 0
-    for assign, used in _first_appearance(n, colors):
-        if used != k:
-            continue
-        counts = sorted((assign.count(c) for c in range(k)), reverse=True)
-        if counts[0] == big and all(c == 1 for c in counts[1:]):
+
+    def tally(assign: list[int], bad: int, used: int) -> int:
+        nonlocal total
+        if used == k and sorted(map(assign.count, range(1, k + 1))) == sizes:
             total += math.perm(colors, k)
+        return 0
+
+    _search(Graph(n), colors, RuleMode.UNRESTRICTED, False, range(n), 0, tally, DEFAULT_WORK_BUDGET, 0)
     return total
 
 

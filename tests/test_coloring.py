@@ -1,4 +1,4 @@
-"""Bad edges, the one-class rule, validity, and usage profiles."""
+"""Bad edges, the one-class rule, and validity."""
 
 import itertools
 import random
@@ -8,15 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nearcolor import (
-    ColorUsage,
     Coloring,
     InvalidColoringError,
     RuleMode,
     adjacent_class_count,
     bad_edges,
-    color_usage,
     complete,
-    cross_bad_edges,
     cycle,
     is_valid,
     join,
@@ -73,22 +70,6 @@ def test_is_valid_rule_and_surjectivity():
     assert is_valid(k4, split, "unrestricted")  # string rule names are accepted
 
 
-def test_color_usage_examples():
-    assert color_usage(complete(3), Coloring((1, 1, 2), 2)).as_dict() == {1: 2, 2: 1}
-    assert color_usage(path(4), Coloring((1, 1, 1, 1), 1)).as_dict() == {1: 4}
-    usage = color_usage(cycle(6), Coloring((1, 2, 3, 1, 2, 3), 3))
-    assert sum(usage.counts) == 6
-
-
-def test_cross_bad_edges_pairings():
-    a = ColorUsage((2, 1))
-    b = ColorUsage((1, 2))
-    assert cross_bad_edges(a, b) == 4
-    assert cross_bad_edges(ColorUsage((1, 2)), ColorUsage((2, 1))) == 4
-    assert cross_bad_edges(a, ColorUsage((2, 1))) == 5
-    assert cross_bad_edges(ColorUsage((2, 0)), ColorUsage((0, 3))) == 0
-
-
 def test_bad_edge_free_means_proper_and_no_adjacent_classes():
     rng = random.Random(3)
     for _ in range(30):
@@ -110,7 +91,7 @@ def test_on_cliques_adjacent_classes_are_exactly_the_repeated_colors():
         k = rng.randint(1, 4)
         g = complete(n)
         c = Coloring(tuple(rng.randint(1, k) for _ in range(n)), k)
-        repeated = sum(1 for count in color_usage(g, c).counts if count >= 2)
+        repeated = sum(1 for color in set(c.assignment) if c.assignment.count(color) >= 2)
         assert adjacent_class_count(g, c) == repeated
 
 
@@ -149,6 +130,7 @@ def test_join_coloring_decomposes_into_sides_plus_cross_term():
             split = (
                 bad_edges(g, left).count
                 + bad_edges(h, right).count
-                + cross_bad_edges(color_usage(g, left), color_usage(h, right))
+                # every cross pair is adjacent, so color i adds left(i) * right(i)
+                + sum(left.assignment.count(i) * right.assignment.count(i) for i in (1, 2))
             )
             assert total == split

@@ -211,6 +211,28 @@ def test_greedy_seed_bounds_each_component_from_above():
     assert seen == {"skipped", "proved", "1 beaten by 1", "2 beaten by 1", "2 beaten by 2"}
 
 
+def test_components_without_an_edge_are_never_searched(monkeypatch):
+    # An isolated vertex has minimum 0 and chromatic number 1, so only the
+    # triangle and the edge get a greedy seed, a bound phase and a chi search.
+    g = Graph(9, ((1, 2), (1, 3), (2, 3), (5, 7)))
+    seeded, searched = [], []
+    greedy, search = solver._greedy, solver._search
+    monkeypatch.setattr(solver, "_greedy", lambda sub, *args: seeded.append(sub.n) or greedy(sub, *args))
+    monkeypatch.setattr(solver, "_search", lambda sub, *args: searched.append(sub.n) or search(sub, *args))
+    for rule in RuleMode:
+        for surjective in (True, False):
+            seeded.clear()
+            s = solve(g, 2, rule, surjective, SolverConfig(count_optimal=True))
+            assert (s.min_bad, s.optimal_count) == partition_oracle(g, 2, rule, surjective)
+            assert seeded == [3, 2]
+    searched.clear()
+    assert chromatic_number(g) == 3
+    assert set(searched) == {3, 2}
+    searched.clear()
+    assert solve(Graph(1000), 2).min_bad == 0 and chromatic_number(Graph(1000)) == 1
+    assert searched == [1000]  # the optimum walk alone
+
+
 def random_graph(seed, n=16, p=0.3):
     rng = random.Random(seed)
     return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
@@ -422,10 +444,10 @@ def test_k_chromatic_subgraph_contract():
     res = k_chromatic_subgraph(complete(5), 3)
     assert res.chromatic == 3
     assert res.subgraph.edges == complete(3).edges
-    with pytest.raises(InvalidParameterError):
-        k_chromatic_subgraph(cycle(5), 3)  # k must stay below the chromatic number
-    with pytest.raises(InvalidParameterError):
-        k_chromatic_subgraph(cycle(6), 0)
+    # k must stay below the chromatic number, and below n
+    for g, k in ((cycle(5), 3), (cycle(6), 0), (cycle(5), 6), (complete(4), 4), (cycle(6), 2)):
+        with pytest.raises(InvalidParameterError):
+            k_chromatic_subgraph(g, k)
 
 
 def test_heuristic_returns_valid_upper_bound():

@@ -3,7 +3,20 @@
 import itertools
 import random
 
-from nearcolor import Graph, RuleMode, complete, cycle, enumerate_oracle, helm, path, wheel
+import pytest
+
+from nearcolor import (
+    Graph,
+    RuleMode,
+    SizeLimitError,
+    complete,
+    cycle,
+    cycle_defect_polynomial,
+    enumerate_oracle,
+    helm,
+    path,
+    wheel,
+)
 from nearcolor.verify import (
     STATUS_KNOWN_MISMATCH,
     STATUS_MATCH,
@@ -71,6 +84,19 @@ def test_first_appearance_counts_agree_with_the_full_scan():
             for k in range(1, n + 1):
                 single_big = (n - k + 1,) + (1,) * (k - 1)
                 assert count_single_big_class_assignments(n, k, colors) == sizes.get(single_big, 0)
+
+
+def test_exhaustive_counts_honour_the_work_budget(monkeypatch):
+    # Both counts walk the 4**8 assignments of 8 items as 3,771 placements of
+    # canonical ones; past the budget they raise instead of running on.
+    monkeypatch.setattr("nearcolor.verify.DEFAULT_WORK_BUDGET", 3771)
+    assert count_by_bad_edges(cycle(8), 4) == [cycle_defect_polynomial(8, j, 4) for j in range(9)]
+    assert count_single_big_class_assignments(8, 4, 4) == 1344
+    monkeypatch.setattr("nearcolor.verify.DEFAULT_WORK_BUDGET", 3770)
+    with pytest.raises(SizeLimitError):
+        count_by_bad_edges(cycle(8), 4)
+    with pytest.raises(SizeLimitError):
+        count_single_big_class_assignments(8, 4, 4)
 
 
 def test_family_suite_has_no_undocumented_mismatches():
