@@ -338,7 +338,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        hint = " (raise it with --cap)" if hasattr(args, "cap") else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 3
     except (InvalidParameterError, InvalidColoringError, GraphFormatError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)

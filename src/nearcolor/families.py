@@ -15,7 +15,7 @@ from math import comb, factorial
 from .coloring import RuleMode
 from .errors import InvalidParameterError, SizeLimitError
 from .graph import Graph, corona, disjoint_union, join
-from .solver import chromatic_number, minimum_color_usage, optimal_colorings, solve
+from .solver import _class_sizes, chromatic_number, solve
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,7 @@ class BoundReport:
 def _color_budget(k: int, chi: int, relaxed: bool) -> int:
     """Budget t for the smaller-chromatic side: t = k while k fits below the
     side's chromatic number, else chi - 1 (floored at one color)."""
-    if relaxed:
-        return k
-    return max(1, min(k, chi - 1))
+    return k if relaxed else max(1, min(k, chi - 1))
 
 
 def _smaller_chromatic_first(
@@ -224,15 +222,14 @@ def _report(
     t: int,
     rule: RuleMode,
     labels: tuple[str, str],
+    sides: tuple[int, int],
     cross: int | None,
     combined: Graph,
 ) -> BoundReport:
-    """Solve each side (t colors for g, k for h; surjective only where the
-    side has enough vertices), add the cross term, and compare the bound
-    with the exact optimum of the combined graph where the work budget
-    reaches it."""
-    left = solve(g, t, rule, surjective=t <= g.n).min_bad
-    right = solve(h, k, rule, surjective=k <= h.n).min_bad
+    """Add the side minima (t colors for g, k for h) and the cross term, and
+    compare the bound with the exact optimum of the combined graph where the
+    work budget reaches it."""
+    left, right = sides
     bound = left + right + (cross or 0)
     try:
         exact = solve(combined, k, rule, surjective=k <= combined.n).min_bad
@@ -273,18 +270,8 @@ def union_bound(
     rule = RuleMode(rule)
     g, h, labels, chi_g = _smaller_chromatic_first(g, h, labels)
     t = _color_budget(k, chi_g, relaxed)
-    return _report("union", g, h, k, t, rule, labels, None, disjoint_union(g, h)[0])
-
-
-def _usage_profiles(g: Graph, k_used: int, k_full: int, rule: RuleMode, surjective: bool):
-    """Distinct usage profiles over optimal colorings, zero-padded to k_full."""
-    profiles = set()
-    for coloring in optimal_colorings(g, k_used, rule, surjective):
-        counts = [0] * k_full
-        for c in coloring.assignment:
-            counts[c - 1] += 1
-        profiles.add(tuple(counts))
-    return sorted(profiles)
+    sides = solve(g, t, rule, t <= g.n).min_bad, solve(h, k, rule, k <= h.n).min_bad
+    return _report("union", g, h, k, t, rule, labels, sides, None, disjoint_union(g, h)[0])
 
 
 def join_bound(
@@ -300,8 +287,11 @@ def join_bound(
     cross term over optimal side colorings.
 
     The cross term sums, per color, the product of the two sides' usage
-    counts; it is minimized over every pair of optimal side colorings.  The
-    exact side defaults to the unrestricted rule because the minimizing join
+    counts; it is minimized over every pair of optimal side colorings.  One
+    walk per side reads its optima as class sizes; h's optima are closed
+    under renaming colors, so by the rearrangement inequality g's sizes
+    ascending against h's descending give each pair's minimum.  The exact
+    side defaults to the unrestricted rule because the minimizing join
     colorings may let both sides keep a monochromatic adjacency; under that
     default every candidate corresponds to an actual coloring of the join,
     so slack is non-negative.  (With a one-class exact side the combined
@@ -312,12 +302,13 @@ def join_bound(
         raise InvalidParameterError(f"color count must be a positive integer, got {k!r}")
     g, h, labels, chi_g = _smaller_chromatic_first(g, h, labels)
     t = _color_budget(k, chi_g, relaxed)
-    profiles_g = _usage_profiles(g, t, k, rule, t <= g.n)
-    profiles_h = _usage_profiles(h, k, k, rule, k <= h.n)
+    left, sizes_g = _class_sizes(g, t, rule)
+    right, sizes_h = _class_sizes(h, k, rule)
     cross = min(
-        sum(a * b for a, b in zip(pg, ph)) for pg in profiles_g for ph in profiles_h
+        sum(a * b for a, b in zip((0,) * (k - t) + p, reversed(q)))
+        for p in sizes_g for q in sizes_h
     )
-    return _report("join", g, h, k, t, rule, labels, cross, join(g, h)[0])
+    return _report("join", g, h, k, t, rule, labels, (left, right), cross, join(g, h)[0])
 
 
 def corona_formula(
@@ -334,7 +325,8 @@ def corona_formula(
     The formula adds the base graph's optimum (t colors), one copy's optimum
     (k colors), and n_g times the smallest per-color usage over the copy's
     optimal colorings (each copy can be colored so its base vertex's color
-    appears that rarely inside it).  It counts the copy term once although
+    appears that rarely inside it), the smallest class size (0 for an unused
+    color) over its canonical optima.  It counts the copy term once although
     the corona contains n_g copies, so the report records the signed
     difference and asserts nothing about it.  The corona is asymmetric:
     operands are never swapped.  Its chromatic number comes from
@@ -348,5 +340,7 @@ def corona_formula(
             f"k must satisfy 1 <= k < chromatic number of the corona ({chi}), got {k}"
         )
     t = _color_budget(k, chi_g, relaxed)
-    cross = g.n * minimum_color_usage(h, k, rule, k <= h.n).value
-    return _report("corona", g, h, k, t, rule, labels, cross, corona(g, h)[0])
+    right, sizes_h = _class_sizes(h, k, rule)
+    cross = g.n * min(p[0] for p in sizes_h)
+    sides = solve(g, t, rule, t <= g.n).min_bad, right
+    return _report("corona", g, h, k, t, rule, labels, sides, cross, corona(g, h)[0])

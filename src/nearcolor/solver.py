@@ -265,10 +265,7 @@ def _search(
         top = min(used + 1, k)
         spent += top
         if spent > budget:
-            raise SizeLimitError(
-                f"exact search exceeds its work budget of {budget} candidate placements"
-                " (raise it with --cap)"
-            )
+            raise SizeLimitError(f"exact search exceeds its work budget of {budget} candidate placements")
         v = order[i]
         row = cnt[v]
         rest = lb - low[v] - drop[i]
@@ -463,9 +460,9 @@ def optimal_colorings(
     """All optimal colorings in lexicographic assignment order.
 
     Each canonical optimum from the search is expanded into its labeled
-    copies, one per injective renaming of its colors into ``1..k``.  The
-    search and the expansion run to completion, under the default work
-    budget, before the first coloring is yielded.
+    copies, one per injective renaming of its colors into ``1..k``, before
+    the first coloring is yielded.  Only the search is charged to the
+    default work budget; the expansion is as large as the output.
     """
     optima: list[tuple[int, ...]] = []
 
@@ -520,13 +517,26 @@ def minimum_color_usage(
     return best
 
 
+def _class_sizes(g: Graph, k: int, rule: RuleMode) -> tuple[int, set[tuple[int, ...]]]:
+    """Minimum bad-edge count and the ascending class sizes (0 for an unused
+    color) of every optimal coloring, surjective exactly when k <= n, from
+    one walk over the canonical optima: renaming colors keeps the sizes."""
+    sizes: set[tuple[int, ...]] = set()
+
+    def tally(colors: list[int], bad: int, used: int) -> int:
+        sizes.add(tuple(sorted(map(colors.count, range(1, k + 1)))))
+        return bad
+
+    return _optimum(g, k, rule, k <= g.n, DEFAULT_WORK_BUDGET, tally), sizes
+
+
 def bad_edge_vertex_cover(g: Graph, coloring: Coloring) -> tuple[int, ...]:
     """Minimum vertex cover of the bad-edge subgraph, exactly.
 
     Searches subsets in order of size and then lexicographically, so ties
-    break to the lexicographically smallest vertex set.  The bad-edge
-    subgraph is small whenever the coloring is near optimal, which keeps the
-    subset search cheap.
+    break to the lexicographically smallest vertex set.  The scan is not
+    charged to the work budget and grows as 2^(bad-edge endpoints): 22
+    endpoints (cover 17) take seconds after a ``solve`` that took none.
     """
     bad = bad_edges(g, coloring).edges
     if not bad:

@@ -151,6 +151,14 @@ def test_disconnected_input_rejected_when_required(capsys):
 def test_cap_exceeded_exits_3(capsys):
     code, _, err = run(capsys, "count", "--family", "complete:10", "--k", "4", "--cap", "1000")
     assert code == 3
+    assert "--cap" in err
+
+
+def test_budget_hint_names_no_flag_the_command_lacks(capsys, monkeypatch):
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 5)
+    code, _, err = run(capsys, "bounds", "--op", "union", "--left", "cycle:5", "--right", "cycle:5", "--k", "2")
+    assert code == 3
+    assert "work budget" in err and "--cap" not in err
 
 
 def test_cap_zero_is_rejected(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,9 @@ from nearcolor import (
     falling_factorial,
     helm_formula,
     join_bound,
+    minimum_color_usage,
     odd_cycle_formula,
+    optimal_colorings,
     path,
     path_formula,
     solve,
@@ -199,6 +202,66 @@ def test_join_bound_slack_nonnegative_on_seeded_pairs():
         h = random_connected_graph(rng, rng.randint(2, min(4, 9 - n_left)))
         report = join_bound(g, h, 2)
         assert report.slack is not None and report.slack >= 0
+
+
+def test_join_bound_reads_class_sizes_not_labelled_optima():
+    # K3's optima at 9 colors leave 6 colors unused, so each canonical
+    # optimum stands for 9!/6! labelled ones; reading sizes builds none.
+    tracemalloc.start()
+    try:
+        report = join_bound(complete(3), complete(9), 9, relaxed=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.cross_term, report.bound, report.exact) == (3, 3, 3)
+    assert peak < 2**20
+
+
+def _labelled_profiles(g, colors, k, rule):
+    """Usage counts, zero-padded to k, of every labelled optimal coloring."""
+    profiles = set()
+    for coloring in optimal_colorings(g, colors, rule, colors <= g.n):
+        counts = [0] * k
+        for c in coloring.assignment:
+            counts[c - 1] += 1
+        profiles.add(tuple(counts))
+    return profiles
+
+
+def _random_graph(rng, n):
+    p = rng.choice([0.0, 0.3, 0.6, 1.0])
+    return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
+
+
+def test_cross_terms_match_labelled_optima_on_seeded_pairs():
+    rng = random.Random(13)
+    checked = {"join": 0, "corona": 0}
+    for _ in range(40):
+        g, h = _random_graph(rng, rng.randint(1, 5)), _random_graph(rng, rng.randint(1, 5))
+        chi_g, chi_h = chromatic_number(g), chromatic_number(h)
+        # The corona's cross term depends on the base only through its order;
+        # a base of at most 2 vertices keeps the exact search of the corona small.
+        base = _random_graph(rng, rng.randint(1, 2))
+        chi_base = chromatic_number(base)
+        for k in range(1, 5):
+            for rule in RuleMode:
+                for relaxed in (False, True):
+                    report = join_bound(g, h, k, rule=rule, relaxed=relaxed)
+                    small, big = (h, g) if chi_g > chi_h else (g, h)
+                    want = min(
+                        sum(a * b for a, b in zip(p, q))
+                        for p in _labelled_profiles(small, report.t, k, rule)
+                        for q in _labelled_profiles(big, k, k, rule)
+                    )
+                    assert report.cross_term == want, (g, h, k, rule, relaxed)
+                    checked["join"] += 1
+                    if k >= corona_chromatic(chi_base, chi_h):
+                        continue
+                    report = corona_formula(base, h, k, rule=rule, relaxed=relaxed)
+                    want = minimum_color_usage(h, k, rule, k <= h.n).value * base.n
+                    assert report.cross_term == want, (base, h, k, rule, relaxed)
+                    checked["corona"] += 1
+    assert min(checked.values()) > 200
 
 
 def test_corona_formula_reports():
