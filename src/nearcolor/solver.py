@@ -7,13 +7,16 @@ oracle exactly on the minimum, the count of optimal colorings, and the
 lexicographically smallest witness.
 
 One search kernel, ``_search``, serves every exact entry point (``solve``,
-``count_optimal``, ``optimal_colorings``, ``minimum_color_usage``), run in
-two vertex orders.  The bound phase visits the vertices of each connected
-component in static degree-descending order and prunes on the incumbent;
-the optimum walk re-walks the tree in vertex-index order with the proven
-optimum as the bound, so the first leaf reached is the lexicographically
-smallest witness and (when counting) every canonical optimum is visited
-exactly once.
+``count_optimal``, ``optimal_colorings``, ``minimum_color_usage``), in up
+to three phases.  The bound phase visits the vertices of each connected
+component in static degree-descending order and prunes on the incumbent.
+The witness walk re-walks the tree in vertex-index order with the proven
+optimum as the bound, so the first leaf it reaches is the lexicographically
+smallest witness; ``solve`` stops it there, while ``optimal_colorings`` and
+the class-usage readers let it visit every canonical optimum exactly once.
+When ``solve`` counts, a count walk follows: it places the components one
+after another, each in degree order, and counts the optima without
+listing them (see below).
 
 The kernel breaks color symmetry: a vertex may only take a color at most
 one above the number of colors its prefix uses, so the colors in use are
@@ -44,8 +47,22 @@ under both rules: each component's dirty class can be renamed to one shared
 color, and with k <= n a vertex moved from a class of two or more into an
 unused color adds no bad edge and no dirty class, so surjectivity costs
 nothing.  The bound phase therefore runs once per component with an edge.
-The optimum walk still runs over the whole graph, and its look-ahead bound
-also counts the minimum of every component it has not yet entered.
+The walks still run over the whole graph, and their look-ahead bound also
+counts the minimum of every component they have not yet entered.
+
+The count walk caches at component boundaries, as exact model counters
+cache independent components (Sang, Bacchus, Beame, Kautz and Pitassi,
+SAT 2004).  When one component is finished and the next not yet entered,
+no placed vertex has an unplaced neighbor, so every ``cnt``/``low`` row of
+the rest is zero, and the look-ahead bound is the sum of the remaining
+components' minima.  The bound is the optimum, the sum of all the minima,
+and each finished component costs at least its own, so the placed bad
+edges are exactly the finished components' minima.  What lies below is
+then fixed by the position, the colors in use and whether a class is dirty
+yet, not by which one: renaming the colors in use keeps every choice
+below.  The weighted count of that subtree is computed once per such state
+and reused; counting does not depend on the order of the vertices, so the
+count is the one the index-order walk would sum.
 
 Each component's bound phase is seeded with an incumbent, as exact coloring
 codes start from a DSATUR coloring (Brelaz 1979): H, the bad edges of the
@@ -193,10 +210,11 @@ def _search(
     surjective: bool,
     order: Sequence[int],
     bound: int,
-    leaf: Callable[[list[int], int, int], int],
+    leaf: Callable[[list[int], int, int], int] | None,
     budget: int,
     spent: int,
     drop: Sequence[int] | None = None,
+    memo: dict[tuple[int, int, bool], int] | None = None,
 ) -> int:
     """DFS over canonical assignments, vertices in ``order`` and colors ascending.
 
@@ -231,12 +249,22 @@ def _search(
     leaf's return value is the new bound; a negative bound cuts every
     remaining branch.
 
+    With ``memo`` the search counts instead, and ``leaf`` is not called:
+    each leaf adds ``math.perm(k, used)``.  ``bound`` must then be
+    ``sum(drop)`` and ``drop`` the component minima.  At each cut of
+    ``order``, a position where no placed vertex has an unplaced neighbor,
+    the weighted count of the subtree goes into ``memo`` under
+    ``(position, used, dirty > 0)``, and a state seen before adds its stored
+    count without a search (see the module docstring); the whole count ends
+    up under ``(0, 0, False)``.
+
     Each node adds the number of colors it tries to ``spent``, the candidate
     placements made so far by the calling entry point; past ``budget`` the
     search raises :class:`SizeLimitError`.  Returns the new ``spent``.
 
-    The DFS goes one Python frame deeper per vertex, so the interpreter's
-    recursion limit is raised by n for the duration of the search.
+    The DFS goes one Python frame deeper per vertex, two when it counts, so
+    the interpreter's recursion limit is raised by 2n for the duration of
+    the search.
     """
     n = g.n
     if drop is None:
@@ -290,7 +318,7 @@ def _search(
                     raised += 1
             if nb + rest + raised <= bound:
                 colors[v] = c
-                dfs(i + 1, nb, used + (c > used), nd, rest + raised)
+                descend(i + 1, nb, used + (c > used), nd, rest + raised)
             for w in ahead:
                 r = cnt[w]
                 x = r[c] - 1
@@ -298,10 +326,38 @@ def _search(
                 if x < low[w]:
                     low[w] = x
 
+    descend = dfs
+    if memo is not None:
+        weight = [math.perm(k, j) for j in range(k + 1)]
+        total = 0  # weighted leaves counted so far, cached subtrees included
+        # A cut is a position where no placed vertex has an unplaced neighbor.
+        cuts, reach = {0}, 0
+        for i in range(n - 1):
+            reach = max(reach, i, *(pos[w] for w in later[i]))
+            if reach == i:
+                cuts.add(i + 1)
+
+        def leaf(colors: list[int], bad: int, used: int) -> int:
+            nonlocal total
+            total += weight[used]
+            return bound
+
+        def descend(i: int, bad: int, used: int, dirty: int, lb: int) -> None:
+            nonlocal total
+            if i not in cuts:
+                return dfs(i, bad, used, dirty, lb)
+            key = (i, used, dirty > 0)
+            if key in memo:
+                total += memo[key]
+                return
+            before = total
+            dfs(i, bad, used, dirty, lb)
+            memo[key] = total - before
+
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + n)
+    sys.setrecursionlimit(limit + 2 * n)
     try:
-        dfs(0, 0, 0, 0, sum(drop))
+        descend(0, 0, 0, 0, sum(drop))
     finally:
         sys.setrecursionlimit(limit)
     return spent
@@ -318,7 +374,8 @@ def _optimum(
     surjective: bool,
     budget: int,
     leaf: Callable[[list[int], int, int], int],
-) -> int:
+    count: bool = False,
+) -> tuple[int, int | None, int]:
     """Proven minimum bad-edge count; ``leaf`` sees the canonical optima in order.
 
     Rejects the instance if it is invalid.  The bound phase runs once per
@@ -328,10 +385,17 @@ def _optimum(
     0, and tightens the bound to one below each better incumbent.
     Surjectivity is off there unless g is connected: the sum of the
     component minima is the minimum either way (see the module docstring).
-    The optimum walk then runs over all of g in vertex-index order with that
+    The witness walk then runs over all of g in vertex-index order with that
     minimum as a fixed bound and each component's minimum as ``drop`` at its
     first vertex, so every leaf it reaches is optimal; ``leaf`` returns that
-    bound to go on, or -1 to stop.  All searches draw on one work budget.
+    bound to go on, or -1 to stop.
+
+    With ``count`` set, the count walk follows: the components in the order
+    of ``g.components()``, each in degree-descending order, with the same
+    bound and each minimum at the component's first position, caching at
+    every component boundary.  All searches draw on one work budget.
+    Returns the minimum, the number of labeled optima (None without
+    ``count``) and the placements spent.
     """
     _check_instance(g, k, surjective)
     parts = g.components()
@@ -351,8 +415,17 @@ def _optimum(
                             found - 1, improve, budget, spent)
         drop[part[0]] = found
     best = sum(drop)
-    _search(g, k, rule, surjective, range(g.n), best, leaf, budget, spent, drop)
-    return best
+    spent = _search(g, k, rule, surjective, range(g.n), best, leaf, budget, spent, drop)
+    if not count:
+        return best, None, spent
+    walk: list[int] = []  # component after component, each in degree order
+    shed = [0] * g.n  # drop, by position in the walk
+    for part in parts:
+        shed[len(walk)] = drop[part[0]]
+        walk += sorted(part, key=lambda v: -len(g.adj[v]))
+    memo: dict[tuple[int, int, bool], int] = {}
+    spent = _search(g, k, rule, surjective, walk, best, None, budget, spent, shed, memo)
+    return best, memo[0, 0, False], spent
 
 
 def _split(g: Graph, parts: list[list[int]]) -> list[tuple[list[int], Graph]]:
@@ -384,23 +457,28 @@ def chromatic_number(g: Graph) -> int:
     """
     if g.n < 1:
         raise InvalidParameterError("chromatic number needs at least one vertex")
+    return _chromatic(g, DEFAULT_WORK_BUDGET, 0)[0]
+
+
+def _chromatic(g: Graph, budget: int, spent: int) -> tuple[int, int]:
+    """``chromatic_number`` on a budget of which ``spent`` placements are
+    used; also returns the placements spent in all."""
 
     def proper(colors: list[int], bad: int, used: int) -> int:
         nonlocal found
         found = True
         return -1
 
-    spent = 0
     k = 1
     for _, sub in _split(g, g.components()):
         order = _degree_order(sub)
         found = False
         while True:
-            spent = _search(sub, k, RuleMode.UNRESTRICTED, False, order, 0, proper, DEFAULT_WORK_BUDGET, spent)
+            spent = _search(sub, k, RuleMode.UNRESTRICTED, False, order, 0, proper, budget, spent)
             if found:
                 break
             k += 1
-    return k
+    return k, spent
 
 
 def solve(
@@ -417,26 +495,22 @@ def solve(
     degrading to a heuristic (use :func:`greedy_heuristic` explicitly for
     those).
     """
-    rule = RuleMode(rule)
     cfg = config or SolverConfig()
+    return _solve(g, k, RuleMode(rule), surjective, cfg.work_budget, cfg.count_optimal)[0]
+
+
+def _solve(
+    g: Graph, k: int, rule: RuleMode, surjective: bool, budget: int, count: bool = False
+) -> tuple[SolveResult, int]:
+    """``solve`` on one budget; also returns the placements spent."""
     witness: list[tuple[int, ...]] = []
-    count = 0
 
-    def visit(colors: list[int], bad: int, used: int) -> int:
-        nonlocal count
-        if not witness:
-            witness.append(tuple(colors))
-        count += math.perm(k, used)
-        return bad if cfg.count_optimal else -1
+    def first(colors: list[int], bad: int, used: int) -> int:
+        witness.append(tuple(colors))
+        return -1
 
-    best = _optimum(g, k, rule, surjective, cfg.work_budget, visit)
-    return SolveResult(
-        min_bad=best,
-        witness=Coloring(witness[0], k),
-        rule=rule,
-        surjective=surjective,
-        optimal_count=count if cfg.count_optimal else None,
-    )
+    best, optimal_count, spent = _optimum(g, k, rule, surjective, budget, first, count)
+    return SolveResult(best, Coloring(witness[0], k), rule, surjective, optimal_count), spent
 
 
 def count_optimal(
@@ -527,7 +601,7 @@ def _class_sizes(g: Graph, k: int, rule: RuleMode) -> tuple[int, set[tuple[int, 
         sizes.add(tuple(sorted(map(colors.count, range(1, k + 1)))))
         return bad
 
-    return _optimum(g, k, rule, k <= g.n, DEFAULT_WORK_BUDGET, tally), sizes
+    return _optimum(g, k, rule, k <= g.n, DEFAULT_WORK_BUDGET, tally)[0], sizes
 
 
 def bad_edge_vertex_cover(g: Graph, coloring: Coloring) -> tuple[int, ...]:
@@ -573,19 +647,21 @@ def k_chromatic_subgraph(
     witness's bad edges, and reports the induced subgraph with its exact
     chromatic number.  The construction guarantees chromatic <= k; the
     reported value records whether equality was achieved on this instance.
-    Maximality over all k-chromatic subgraphs is not claimed.
+    Maximality over all k-chromatic subgraphs is not claimed.  The solve
+    and the chromatic number of the subgraph draw on one default work
+    budget; the vertex cover between them is not charged to it.
     """
     rule = RuleMode(rule)
     if not 1 <= k < g.n:
         raise InvalidParameterError(f"k must satisfy 1 <= k < n ({g.n}), got {k}")
-    result = solve(g, k, rule, True)
+    result, spent = _solve(g, k, rule, True, DEFAULT_WORK_BUDGET)
     # For k <= n, some surjective k-coloring is proper exactly when k >= chi.
     if result.min_bad == 0:
         raise InvalidParameterError(f"k must stay below the chromatic number, got {k}")
     cover = bad_edge_vertex_cover(g, result.witness)
     removed = set(cover)
     sub, kept = g.induced_subgraph(v for v in range(g.n) if v not in removed)
-    chi_sub = chromatic_number(sub)
+    chi_sub, _ = _chromatic(sub, DEFAULT_WORK_BUDGET, spent)
     return KChromaticSubgraph(
         subgraph=sub,
         kept_vertices=kept,

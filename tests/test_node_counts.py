@@ -3,7 +3,12 @@
 Replays every variant of ``perfbench/golden/solve-connected.json`` and
 ``perfbench/golden/count-union.json`` (read only), checks each answer against
 the recorded one, and sums the candidate placements that ``solver._search``
-makes.  A change that raises a total must say why and move its ceiling.
+makes, per phase: the degree-ordered bound phase (chromatic-number searches
+included), the index-order witness walk (which visits every optimum for the
+class-size walks of the join and corona bounds) and the count walk.  The
+ceiling is the sum of the recorded phase totals; when it is broken, the
+failure names each phase that grew.  A change that raises a total must say
+why and move its figure.
 
 Also replays the heuristic variants of ``perfbench/golden/cli-adjudicate.json``
 and requires their recorded colorings exactly: a change that alters the
@@ -11,6 +16,7 @@ heuristic's choices must say so and update this pin.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,7 +25,10 @@ import nearcolor
 from nearcolor import solver
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
-CEILINGS = {"solve-connected": 290_823, "count-union": 104_218}
+PLACEMENTS = {
+    "solve-connected": {"bound phase": 115_213, "witness walk": 175_610},
+    "count-union": {"bound phase": 17_600, "witness walk": 19_006, "count walk": 25_442},
+}
 
 
 def graph(n, edges):
@@ -40,22 +49,23 @@ def replay(cell, v):
     return None if all(getattr(report, f) == want for f, want in v["report"].items()) else v["id"]
 
 
-@pytest.mark.parametrize("workload", sorted(CEILINGS))
+@pytest.mark.parametrize("workload", sorted(PLACEMENTS))
 def test_golden_placements_stay_under_their_ceiling(workload, monkeypatch):
-    total = 0
+    spent_in: Counter[str] = Counter()
     search = solver._search
 
-    def counting(g, k, rule, surjective, order, bound, leaf, budget, spent, drop=None):
-        nonlocal total
-        out = search(g, k, rule, surjective, order, bound, leaf, budget, spent, drop)
-        total += out - spent
+    def counting(g, k, rule, surjective, order, bound, leaf, budget, spent, drop=None, memo=None):
+        out = search(g, k, rule, surjective, order, bound, leaf, budget, spent, drop, memo)
+        spent_in["bound phase" if drop is None else "witness walk" if memo is None else "count walk"] += out - spent
         return out
 
     monkeypatch.setattr(solver, "_search", counting)
     cells = json.loads((GOLDEN / f"{workload}.json").read_text(encoding="utf-8"))["cells"]
     wrong = [replay(cell, v) for cell in cells for v in cell["variants"]]
     assert [w for w in wrong if w] == []
-    assert total <= CEILINGS[workload]
+    recorded = PLACEMENTS[workload]
+    grown = {phase: n for phase, n in spent_in.items() if n > recorded.get(phase, 0)}
+    assert sum(spent_in.values()) <= sum(recorded.values()), f"placements grew in {grown}"
 
 
 def test_heuristic_keeps_its_golden_colorings():

@@ -115,16 +115,21 @@ def test_unrestricted_union_counts_multiply_without_surjectivity(g, h, k):
 
 
 @st.composite
-def unions(draw, max_n=6):
-    """Disjoint unions of graphs on 1-4 vertices, isolated vertices among them, labels shuffled."""
+def unions(draw, max_n=6, max_parts=4, isolated=0):
+    """Disjoint unions of graphs on 1-4 vertices, isolated vertices among them, labels shuffled.
+
+    Up to ``isolated`` more isolated vertices are added before the shuffle,
+    which interleaves the components in index order.
+    """
     edges, n = [], 0
-    for size in draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4)):
+    for size in draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=max_parts)):
         if n + size > max_n:
             break
         possible = [(u + n, v + n) for u in range(size) for v in range(u + 1, size)]
         if possible:
             edges += draw(st.lists(st.sampled_from(possible), unique=True))
         n += size
+    n += draw(st.integers(min_value=0, max_value=min(isolated, max_n - n)))
     label = draw(st.permutations(range(n)))
     return Graph(n, tuple((label[u], label[v]) for u, v in edges))
 
@@ -146,3 +151,32 @@ def test_seeded_search_matches_both_oracles_on_unions(g, k):
         assert (s.min_bad, s.optimal_count, s.witness) == (o.min_bad, o.optimal_count, o.witness)
         assert solve(g, k, rule, surjective).witness == o.witness
         assert partition_oracle(g, k, rule, surjective) == (o.min_bad, o.optimal_count)
+
+
+# The count walk places the components one after another and reuses the
+# count below a component boundary whenever the colors in use and the
+# dirtiness of a class recur; the witness still comes from the index-order
+# walk.  Components that interleave in index order separate the two orders.
+
+
+@settings(deadline=None)
+@given(unions(max_n=7, max_parts=5, isolated=2), st.integers(min_value=1, max_value=4))
+@example(Graph(7, ((0, 3), (3, 6), (0, 6), (1, 4), (2, 5))), 2)
+def test_count_walk_matches_both_oracles_on_interleaved_unions(g, k):
+    for rule, surjective in SETTINGS:
+        if surjective and k > g.n:
+            continue
+        o = enumerate_oracle(g, k, rule, surjective)
+        s = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+        assert (s.min_bad, s.optimal_count, s.witness) == (o.min_bad, o.optimal_count, o.witness)
+        assert solve(g, k, rule, surjective).witness == o.witness
+        assert partition_oracle(g, k, rule, surjective) == (o.min_bad, o.optimal_count)
+
+
+@settings(deadline=None, max_examples=50)
+@given(unions(max_n=9, max_parts=6, isolated=3), st.integers(min_value=1, max_value=4))
+def test_count_walk_matches_the_partition_oracle_on_larger_unions(g, k):
+    for rule, surjective in SETTINGS:
+        if surjective and k > g.n:
+            continue
+        assert min_and_count(g, k, rule, surjective) == partition_oracle(g, k, rule, surjective)

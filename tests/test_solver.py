@@ -250,6 +250,29 @@ def test_union_of_two_16_vertex_graphs_fits_a_small_work_budget():
         solve(u, 3, config=SolverConfig(work_budget=606))
 
 
+def test_union_of_two_16_vertex_graphs_counts_within_a_small_work_budget():
+    # The count walk caches the second component's count for each way the
+    # first one leaves the colors, so it does not visit the product of the
+    # two components' optima: 8,202 and 33,324 placements, where walking
+    # that product in index order made 990,478 and 1,235,638.
+    u, _ = disjoint_union(random_graph(1), random_graph(2))
+    for rule, expect in ((RuleMode.ONE_CLASS, 40608), (RuleMode.UNRESTRICTED, 235872)):
+        res = solve(u, 3, rule, config=SolverConfig(work_budget=100_000, count_optimal=True))
+        assert (res.min_bad, res.optimal_count) == (2, expect)
+
+
+def test_disconnected_g15_counts_fit_the_default_work_budget():
+    # The one disconnected G(15, 0.2) of seeds 0-19 whose k = 4 counts ran
+    # past the default budget when the count walked the product of its
+    # components' optima: a 7- and a 6-vertex component and two isolated
+    # vertices, with about 5,900 placements now in each setting.
+    g = random_graph(0, n=15, p=0.2)
+    assert [len(part) for part in g.components()] == [1, 7, 6, 1]
+    for rule in RuleMode:
+        for surjective, expect in ((True, 44_686_176), (False, 45_349_632)):
+            assert count_optimal(g, 4, rule, surjective) == expect
+
+
 def test_deep_searches_fit_the_interpreter_stack():
     # The search goes one Python frame deeper per vertex.
     limit = sys.getrecursionlimit()
@@ -368,16 +391,24 @@ def test_every_exact_entry_point_honours_the_cap():
 
 def test_one_work_budget_covers_every_search_of_a_call(monkeypatch):
     # Counting K10 with 4 colors makes 1239 candidate placements in the bound
-    # phase and 1409 in the optimum walk; the call is charged for both.
-    assert solve(complete(10), 4, config=SolverConfig(work_budget=2648, count_optimal=True)).optimal_count == 2880
+    # phase, 22 in the witness walk (up to its first leaf) and 1409 in the
+    # count walk; the call is charged for all three.
+    assert solve(complete(10), 4, config=SolverConfig(work_budget=2670, count_optimal=True)).optimal_count == 2880
     with pytest.raises(SizeLimitError):
-        solve(complete(10), 4, config=SolverConfig(work_budget=2647, count_optimal=True))
+        solve(complete(10), 4, config=SolverConfig(work_budget=2669, count_optimal=True))
     # chi(K6) tries k = 1..6 for 56 placements in all, at most 21 for one k.
     monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 56)
     assert chromatic_number(complete(6)) == 6
     monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 55)
     with pytest.raises(SizeLimitError):
         chromatic_number(complete(6))
+    # k_chromatic_subgraph(K5, 3) makes 48 placements to solve K5 and 10 for
+    # the chromatic number of the K3 left; one budget covers both.
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 58)
+    assert k_chromatic_subgraph(complete(5), 3).chromatic == 3
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 57)
+    with pytest.raises(SizeLimitError):
+        k_chromatic_subgraph(complete(5), 3)
 
 
 def test_reference_instance_r22_fits_the_default_work_budget():
