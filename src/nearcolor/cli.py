@@ -12,7 +12,6 @@ import dataclasses
 import json
 import sys
 import time
-from typing import Iterable
 
 from .coloring import RuleMode
 from .errors import (
@@ -23,78 +22,17 @@ from .errors import (
     SizeLimitError,
 )
 from .families import (
+    OPERATIONS,
     complete_defect_polynomial,
-    complete_formula,
-    corona_formula,
     cycle_defect_polynomial,
-    helm_formula,
-    join_bound,
-    odd_cycle_formula,
-    path_formula,
-    union_bound,
-    wheel_formula,
+    family_claim,
+    parse_family_spec,
+    split_spec,
 )
-from .graph import (
-    Graph,
-    complete,
-    corona,
-    cycle,
-    disjoint_union,
-    helm,
-    join,
-    path,
-    wheel,
-)
+from .graph import Graph
 from .io import load_graph, write_dot, write_edge_list
 from .solver import DEFAULT_WORK_BUDGET, SolverConfig, greedy_heuristic, solve
 from .verify import CheckRow, has_hard_mismatch, run_suites
-
-_SIMPLE_FAMILIES = {
-    "path": lambda n: path(n),
-    "cycle": lambda n: cycle(n),
-    "wheel": lambda n: wheel(n)[0],
-    "helm": lambda n: helm(n)[0],
-    "complete": lambda n: complete(n),
-}
-
-_OPERATIONS = {
-    "join": lambda g, h: join(g, h)[0],
-    "corona": lambda g, h: corona(g, h)[0],
-    "union": lambda g, h: disjoint_union(g, h)[0],
-}
-
-
-def parse_family_spec(spec: str) -> Graph:
-    """Parse ``name:n`` or ``op(name:n,name:n)`` (one nesting level)."""
-    spec = spec.strip()
-    for op, build in _OPERATIONS.items():
-        prefix = op + "("
-        if spec.startswith(prefix) and spec.endswith(")"):
-            inner = spec[len(prefix):-1]
-            parts = inner.split(",")
-            if len(parts) != 2:
-                raise InvalidParameterError(f"{op}(...) takes exactly two operands, got {spec!r}")
-            return build(_parse_simple_spec(parts[0]), _parse_simple_spec(parts[1]))
-    return _parse_simple_spec(spec)
-
-
-def _parse_simple_spec(spec: str) -> Graph:
-    name, n = _split_spec(spec.strip(), _SIMPLE_FAMILIES)
-    return _SIMPLE_FAMILIES[name](n)
-
-
-def _split_spec(spec: str, names: Iterable[str] | None = None) -> tuple[str, int]:
-    """Split ``name:n``; with ``names`` given, the name must be one of them."""
-    name, sep, arg = spec.partition(":")
-    if names is not None and (not sep or name not in names):
-        known = ", ".join(sorted(names))
-        raise InvalidParameterError(f"unknown family spec {spec!r} (expected one of {known}, as name:n)")
-    if not sep:
-        raise InvalidParameterError(f"expected name:n, got {spec!r}")
-    try:
-        return name, int(arg)
-    except ValueError:
-        raise InvalidParameterError(f"family parameter must be an integer, got {arg!r}")
 
 
 def _load_input(args: argparse.Namespace) -> Graph:
@@ -162,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(run=_cmd_poly)
 
     sub = commands.add_parser("bounds", help="operation bound or formula report")
-    sub.add_argument("--op", choices=["union", "join", "corona"], required=True)
+    sub.add_argument("--op", choices=list(OPERATIONS), required=True)
     sub.add_argument("--left", required=True, help="family spec of the left operand")
     sub.add_argument("--right", required=True, help="family spec of the right operand")
     sub.add_argument("--k", type=int, required=True)
@@ -238,25 +176,7 @@ def _cmd_solve(args: argparse.Namespace, counting: bool) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    name, n = _split_spec(args.family)
-    builders = {
-        "path": lambda k: path_formula(n),
-        "cycle": lambda k: odd_cycle_formula(n),
-        "wheel": lambda k: wheel_formula(n, k),
-        "helm": lambda k: helm_formula(n, k),
-        "complete": lambda k: complete_formula(n, k),
-    }
-    if name not in builders:
-        raise InvalidParameterError(f"unknown family {name!r}")
-    defaults = {"path": 1, "cycle": 2}
-    k = args.k if args.k is not None else defaults.get(name)
-    if k is None:
-        raise InvalidParameterError(f"--k is required for family {name!r}")
-    if name == "path" and k != 1:
-        raise InvalidParameterError("the path closed form is for a single color (k=1)")
-    if name == "cycle" and k != 2:
-        raise InvalidParameterError("the cycle closed form is for two colors (k=2)")
-    claim = builders[name](k)
+    claim = family_claim(*split_spec(args.family), args.k)
     payload = {
         "family": claim.family,
         "n": claim.n,
@@ -271,7 +191,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    name, n = _split_spec(args.family)
+    name, n = split_spec(args.family)
     if name == "cycle":
         if args.bad is None:
             raise InvalidParameterError("--bad is required for cycle defect polynomials")
@@ -294,8 +214,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     g = parse_family_spec(args.left)
     h = parse_family_spec(args.right)
-    ops = {"union": union_bound, "join": join_bound, "corona": corona_formula}
-    report = ops[args.op](g, h, args.k, relaxed=args.relaxed, labels=(args.left, args.right))
+    report = OPERATIONS[args.op].report(g, h, args.k, relaxed=args.relaxed, labels=(args.left, args.right))
     _emit(dataclasses.asdict(report), args.json)
     return 0
 
@@ -335,6 +254,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact counts and closed forms can pass CPython's 4300-digit limit on
+    # int/str conversion; lift it while the command runs (0 = no limit).
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.run(args)
     except SizeLimitError as exc:
@@ -344,6 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidParameterError, InvalidColoringError, GraphFormatError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

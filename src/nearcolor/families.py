@@ -1,6 +1,11 @@
 """Closed-form values for named graph families, defect-polynomial formulas,
 and bounds for graph operations (union, join, corona).
 
+``FAMILIES`` and ``OPERATIONS`` are the one table of what a family spec
+may name: each entry's graph builder, size and claim or bound.
+``parse_family_spec``, ``family_claim`` and ``verify``'s family rows all
+read them.
+
 Every value here is a published claim that the exact solver can
 adjudicate.  Claims known to disagree with exhaustive search carry dispute
 flags so the verification harness reports them instead of asserting them;
@@ -11,10 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
+from typing import Callable, NamedTuple
 
 from .coloring import RuleMode
 from .errors import InvalidParameterError, SizeLimitError
-from .graph import Graph, corona, disjoint_union, join
+from .graph import Graph, complete, corona, cycle, disjoint_union, helm, join, path, wheel
+from .io import MAX_VERTICES
 from .solver import _class_sizes, chromatic_number, solve
 
 
@@ -59,46 +66,40 @@ def odd_cycle_formula(n: int) -> FamilyResult:
     return FamilyResult("cycle", n, 2, 1, 2 * n)
 
 
-def wheel_formula(n: int, k: int) -> FamilyResult:
-    """Published wheel values for k in {2, 3}.
+def _rim_formula(family: str, n: int, k: int) -> FamilyResult:
+    """Published values for a wheel or a helm with an n-cycle rim, k in {2, 3}.
 
-    The odd-rim claims disagree with exhaustive search (both the k=2 value
-    and the coloring counts); they are returned with dispute flags.
+    The two families share every value except the odd-rim k=3 count, which
+    gains a factor 2^n from the helm's pendants.  The odd-rim claims
+    disagree with exhaustive search (both the k=2 value and the coloring
+    counts); they are returned with dispute flags.
     """
     if n < 3:
-        raise InvalidParameterError(f"a wheel rim needs at least 3 vertices, got {n}")
+        raise InvalidParameterError(f"a {family} rim needs at least 3 vertices, got {n}")
     if k == 2:
         if n % 2 == 0:
-            return FamilyResult("wheel", n, 2, n // 2, 4)
+            return FamilyResult(family, n, 2, n // 2, 4)
         return FamilyResult(
-            "wheel", n, 2, (n + 1) // 2, 4 * n, min_bad_disputed=True, count_disputed=True
+            family, n, 2, (n + 1) // 2, 4 * n, min_bad_disputed=True, count_disputed=True
         )
     if k == 3:
         if n % 2 == 0:
             raise InvalidParameterError(
-                "three colors is not below the chromatic number of an even wheel"
+                f"three colors is not below the chromatic number of an even {family}"
             )
-        return FamilyResult("wheel", n, 3, 1, 3 * n, count_disputed=True)
-    raise InvalidParameterError(f"no wheel closed form for k={k}")
+        count = 3 * n * 2**n if family == "helm" else 3 * n
+        return FamilyResult(family, n, 3, 1, count, count_disputed=True)
+    raise InvalidParameterError(f"no {family} closed form for k={k}")
+
+
+def wheel_formula(n: int, k: int) -> FamilyResult:
+    """Published wheel values for k in {2, 3}; odd-rim claims carry dispute flags."""
+    return _rim_formula("wheel", n, k)
 
 
 def helm_formula(n: int, k: int) -> FamilyResult:
     """Published helm values for k in {2, 3}; odd-rim claims carry dispute flags."""
-    if n < 3:
-        raise InvalidParameterError(f"a helm rim needs at least 3 vertices, got {n}")
-    if k == 2:
-        if n % 2 == 0:
-            return FamilyResult("helm", n, 2, n // 2, 4)
-        return FamilyResult(
-            "helm", n, 2, (n + 1) // 2, 4 * n, min_bad_disputed=True, count_disputed=True
-        )
-    if k == 3:
-        if n % 2 == 0:
-            raise InvalidParameterError(
-                "three colors is not below the chromatic number of an even helm"
-            )
-        return FamilyResult("helm", n, 3, 1, 3 * n * 2**n, count_disputed=True)
-    raise InvalidParameterError(f"no helm closed form for k={k}")
+    return _rim_formula("helm", n, k)
 
 
 def complete_formula(n: int, k: int) -> FamilyResult:
@@ -115,6 +116,79 @@ def complete_formula(n: int, k: int) -> FamilyResult:
     x = n - k
     count = (n - x) * comb(n, x + 1) * factorial(n - x - 1)
     return FamilyResult("complete", n, k, x * (x + 1) // 2, count)
+
+
+class Family(NamedTuple):
+    """A named family, written ``name:n`` in a family spec: its builder, the
+    ``(n, m)`` of ``build(n)`` without building it, its closed-form claim
+    for k colors and the one k that claim is for (None: any k)."""
+
+    build: Callable[[int], Graph]
+    size: Callable[[int], tuple[int, int]]
+    claim: Callable[[int, int], FamilyResult]
+    k: int | None = None
+
+
+FAMILIES = {
+    "path": Family(path, lambda n: (n, n - 1), lambda n, k: path_formula(n), 1),
+    "cycle": Family(cycle, lambda n: (n, n), lambda n, k: odd_cycle_formula(n), 2),
+    "wheel": Family(lambda n: wheel(n)[0], lambda n: (n + 1, 2 * n), wheel_formula),
+    "helm": Family(lambda n: helm(n)[0], lambda n: (2 * n + 1, 3 * n), helm_formula),
+    "complete": Family(complete, lambda n: (n, n * (n - 1) // 2), complete_formula),
+}
+
+
+def split_spec(spec: str) -> tuple[str, int]:
+    """Split ``name:n`` into a name of :data:`FAMILIES` and the integer n."""
+    name, sep, arg = spec.partition(":")
+    if name not in FAMILIES:
+        known = ", ".join(FAMILIES)
+        raise InvalidParameterError(
+            f"unknown family {name!r} in {spec!r} (expected one of {known}, as name:n)"
+        )
+    if not sep:
+        raise InvalidParameterError(f"expected name:n, got {spec!r}")
+    try:
+        return name, int(arg)
+    except ValueError:
+        raise InvalidParameterError(f"family parameter must be an integer, got {arg!r}")
+
+
+def family_claim(name: str, n: int, k: int | None = None) -> FamilyResult:
+    """The closed-form claim of family ``name`` for parameter n and k colors;
+    k defaults to the color count the claim is for (path 1, cycle 2)."""
+    family = FAMILIES[name]
+    k = family.k if k is None else k
+    if k is None:
+        raise InvalidParameterError(f"k is required for family {name!r}")
+    if family.k not in (None, k):
+        raise InvalidParameterError(f"the {name} closed form is for k={family.k}")
+    return family.claim(n, k)
+
+
+def parse_family_spec(spec: str) -> Graph:
+    """Build the graph of ``name:n`` or ``op(name:n,name:n)`` (one nesting level).
+
+    Its vertex and edge counts are worked out from the parameters first, and
+    a spec whose graph would have more than ``io.MAX_VERTICES`` of either is
+    rejected before anything is built.
+    """
+    spec = spec.strip()
+    name, paren, inner = spec.partition("(")
+    op = OPERATIONS.get(name) if paren and inner.endswith(")") else None
+    parts = inner[:-1].split(",") if op else [spec]
+    if op and len(parts) != 2:
+        raise InvalidParameterError(f"{name}(...) takes exactly two operands, got {spec!r}")
+    operands = [split_spec(part.strip()) for part in parts]
+    sizes = [FAMILIES[f].size(max(n, 0)) for f, n in operands]
+    vertices, edges = op.size(*sizes) if op else sizes[0]
+    if max(vertices, edges) > MAX_VERTICES:
+        raise InvalidParameterError(
+            f"family spec {spec!r} makes {vertices} vertices and {edges} edges,"
+            f" over the limit of {MAX_VERTICES}"
+        )
+    graphs = [FAMILIES[f].build(n) for f, n in operands]
+    return op.build(*graphs)[0] if op else graphs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +418,21 @@ def corona_formula(
     cross = g.n * min(p[0] for p in sizes_h)
     sides = solve(g, t, rule, t <= g.n).min_bad, right
     return _report("corona", g, h, k, t, rule, labels, sides, cross, corona(g, h)[0])
+
+
+class Operation(NamedTuple):
+    """A graph operation, written ``op(a,b)`` in a family spec: its builder,
+    the ``(n, m)`` of its result from the operands' and its bound report."""
+
+    build: Callable[[Graph, Graph], tuple[Graph, dict[str, int]]]
+    size: Callable[[tuple[int, int], tuple[int, int]], tuple[int, int]]
+    report: Callable[..., BoundReport]
+
+
+OPERATIONS = {
+    "union": Operation(disjoint_union, lambda g, h: (g[0] + h[0], g[1] + h[1]), union_bound),
+    "join": Operation(join, lambda g, h: (g[0] + h[0], g[1] + h[1] + g[0] * h[0]), join_bound),
+    "corona": Operation(
+        corona, lambda g, h: (g[0] * (1 + h[0]), g[1] + g[0] * (h[1] + h[0])), corona_formula
+    ),
+}

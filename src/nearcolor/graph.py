@@ -2,8 +2,10 @@
 
 Vertices are dense integer indices 0..n-1.  Family generators fix a canonical
 indexing (hub = 0, rim = 1..n, pendants = n+1..2n) so that optimal-coloring
-counts and witnesses are reproducible; a :class:`VertexLabelMap` bridges
-between semantic roles and raw indices.
+counts and witnesses are reproducible.  The wheel, the helm and the three
+operations also return their roles, a plain dict from a role name (e.g.
+``"hub"``, ``"rim[3]"``, ``"H[2]"``) to a vertex index that covers every
+vertex exactly once.
 
 Graph values are immutable after construction and safe to share across
 concurrent tasks.  This module holds no search: the exact chromatic number
@@ -13,7 +15,7 @@ comes from the bad-edge search kernel in :mod:`nearcolor.solver`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import InvalidParameterError
 
@@ -119,39 +121,6 @@ class Graph:
         return Graph(len(kept), edges), kept
 
 
-class VertexLabelMap:
-    """Maps semantic role names (e.g. ``"hub"``, ``"rim[3]"``) to vertex indices.
-
-    The mapping is total and injective over the labeled graph's vertices, so
-    tests can address structural roles without hard-coding the canonical
-    indexing.
-    """
-
-    def __init__(self, n: int, roles: Mapping[str, int]):
-        values = list(roles.values())
-        if len(set(values)) != len(values):
-            raise InvalidParameterError("label map is not injective")
-        if set(values) != set(range(n)):
-            raise InvalidParameterError("label map does not cover vertices 0..n-1 exactly")
-        self._n = n
-        self._roles = dict(roles)
-
-    def __getitem__(self, role: str) -> int:
-        return self._roles[role]
-
-    def __contains__(self, role: str) -> bool:
-        return role in self._roles
-
-    def __len__(self) -> int:
-        return len(self._roles)
-
-    def roles(self) -> dict[str, int]:
-        return dict(self._roles)
-
-    def __repr__(self) -> str:
-        return f"VertexLabelMap({self._n}, {self._roles!r})"
-
-
 # ---------------------------------------------------------------------------
 # Named family generators
 # ---------------------------------------------------------------------------
@@ -171,7 +140,7 @@ def cycle(n: int) -> Graph:
     return Graph(n, edges)
 
 
-def wheel(n: int) -> tuple[Graph, VertexLabelMap]:
+def wheel(n: int) -> tuple[Graph, dict[str, int]]:
     """Wheel with an n-cycle rim (n >= 3): hub 0 joined to rim vertices 1..n."""
     if n < 3:
         raise InvalidParameterError(f"a wheel rim needs at least 3 vertices, got {n}")
@@ -180,23 +149,19 @@ def wheel(n: int) -> tuple[Graph, VertexLabelMap]:
     edges.append((1, n))
     roles = {"hub": 0}
     roles.update({f"rim[{i}]": i for i in range(1, n + 1)})
-    g = Graph(n + 1, tuple(edges))
-    return g, VertexLabelMap(g.n, roles)
+    return Graph(n + 1, tuple(edges)), roles
 
 
-def helm(n: int) -> tuple[Graph, VertexLabelMap]:
+def helm(n: int) -> tuple[Graph, dict[str, int]]:
     """Helm: wheel with rim size n plus one pendant per rim vertex.
 
     Pendant of rim vertex i sits at index n + i.
     """
-    base, _ = wheel(n)
+    base, roles = wheel(n)
     edges = list(base.edges)
     edges += [(i, n + i) for i in range(1, n + 1)]
-    roles = {"hub": 0}
-    roles.update({f"rim[{i}]": i for i in range(1, n + 1)})
     roles.update({f"pendant[{i}]": n + i for i in range(1, n + 1)})
-    g = Graph(2 * n + 1, tuple(edges))
-    return g, VertexLabelMap(g.n, roles)
+    return Graph(2 * n + 1, tuple(edges)), roles
 
 
 def complete(n: int) -> Graph:
@@ -210,26 +175,24 @@ def complete(n: int) -> Graph:
 # Graph operations
 # ---------------------------------------------------------------------------
 
-def disjoint_union(g: Graph, h: Graph) -> tuple[Graph, VertexLabelMap]:
+def disjoint_union(g: Graph, h: Graph) -> tuple[Graph, dict[str, int]]:
     """Vertex-disjoint union; g keeps indices 0..n_g-1, h is shifted by n_g."""
     edges = list(g.edges)
     edges += [(u + g.n, v + g.n) for u, v in h.edges]
     roles = {f"G[{i}]": i for i in range(g.n)}
     roles.update({f"H[{j}]": g.n + j for j in range(h.n)})
-    out = Graph(g.n + h.n, tuple(edges))
-    return out, VertexLabelMap(out.n, roles)
+    return Graph(g.n + h.n, tuple(edges)), roles
 
 
-def join(g: Graph, h: Graph) -> tuple[Graph, VertexLabelMap]:
+def join(g: Graph, h: Graph) -> tuple[Graph, dict[str, int]]:
     """Disjoint union plus every edge between the two sides."""
-    base, labels = disjoint_union(g, h)
+    base, roles = disjoint_union(g, h)
     edges = list(base.edges)
     edges += [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
-    out = Graph(base.n, tuple(edges))
-    return out, VertexLabelMap(out.n, labels.roles())
+    return Graph(base.n, tuple(edges)), roles
 
 
-def corona(g: Graph, h: Graph) -> tuple[Graph, VertexLabelMap]:
+def corona(g: Graph, h: Graph) -> tuple[Graph, dict[str, int]]:
     """Corona: one private copy of h per vertex of g, joined to that vertex.
 
     Base vertices keep indices 0..n_g-1; copy i occupies the block
@@ -242,5 +205,4 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, VertexLabelMap]:
         edges += [(offset + u, offset + v) for u, v in h.edges]
         edges += [(i, offset + u) for u in range(h.n)]
         roles.update({f"H[{i}][{j}]": offset + j for j in range(h.n)})
-    out = Graph(g.n + g.n * h.n, tuple(edges))
-    return out, VertexLabelMap(out.n, roles)
+    return Graph(g.n + g.n * h.n, tuple(edges)), roles

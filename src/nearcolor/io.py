@@ -31,12 +31,15 @@ def _significant_lines(text: str, comment_prefix: str) -> list[tuple[int, str]]:
 
 
 def _parse_int_pair(parts: list[str], line_no: int, what: str) -> tuple[int, int]:
-    if len(parts) != 2:
-        raise GraphFormatError(f"expected two integers for {what}, got {' '.join(parts)!r}", line_no)
+    # A token longer than CPython's default int/str limit (4300 digits) is
+    # refused unread, as that limit refuses it: the CLI lifts the limit, and
+    # int() takes quadratic time in the digits.
     try:
-        return int(parts[0]), int(parts[1])
+        if len(parts) == 2 and max(map(len, parts)) <= 4300:
+            return int(parts[0]), int(parts[1])
     except ValueError:
-        raise GraphFormatError(f"expected two integers for {what}, got {' '.join(parts)!r}", line_no)
+        pass
+    raise GraphFormatError(f"expected two integers for {what}, got {' '.join(parts)!r}", line_no)
 
 
 def _check_counts(n: int, m: int, line_no: int) -> None:

@@ -94,7 +94,7 @@ from typing import Callable, Iterator, Sequence
 
 from .coloring import Coloring, RuleMode, bad_edges
 from .errors import InfeasibleError, InvalidParameterError, SizeLimitError
-from .graph import Graph
+from .graph import Edge, Graph
 
 # Candidate placements one public exact call may make (``--cap``).
 DEFAULT_WORK_BUDGET = 2 * 10**6
@@ -608,20 +608,29 @@ def bad_edge_vertex_cover(g: Graph, coloring: Coloring) -> tuple[int, ...]:
     """Minimum vertex cover of the bad-edge subgraph, exactly.
 
     Searches subsets in order of size and then lexicographically, so ties
-    break to the lexicographically smallest vertex set.  The scan is not
-    charged to the work budget and grows as 2^(bad-edge endpoints): 22
-    endpoints (cover 17) take seconds after a ``solve`` that took none.
+    break to the lexicographically smallest vertex set.  Each subset tested
+    is charged its number of bad edges to the default work budget; past it
+    the scan raises :class:`SizeLimitError`.  The scan grows as
+    2^(bad-edge endpoints).
     """
-    bad = bad_edges(g, coloring).edges
+    return _cover(bad_edges(g, coloring).edges, DEFAULT_WORK_BUDGET, 0)[0]
+
+
+def _cover(bad: tuple[Edge, ...], budget: int, spent: int) -> tuple[tuple[int, ...], int]:
+    """``bad_edge_vertex_cover`` of the edges ``bad`` on a budget of which
+    ``spent`` is used; also returns the budget spent in all."""
     if not bad:
-        return ()
+        return (), spent
     verts = sorted({x for e in bad for x in e})
     for size in range(1, len(verts) + 1):
         for subset in itertools.combinations(verts, size):
+            spent += len(bad)
+            if spent > budget:
+                raise SizeLimitError(f"vertex cover scan exceeds its work budget of {budget}")
             chosen = set(subset)
             if all(u in chosen or v in chosen for u, v in bad):
-                return subset
-    return tuple(verts)  # pragma: no cover - all endpoints always cover
+                return subset, spent
+    return tuple(verts), spent  # pragma: no cover - all endpoints always cover
 
 
 @dataclass(frozen=True)
@@ -647,9 +656,9 @@ def k_chromatic_subgraph(
     witness's bad edges, and reports the induced subgraph with its exact
     chromatic number.  The construction guarantees chromatic <= k; the
     reported value records whether equality was achieved on this instance.
-    Maximality over all k-chromatic subgraphs is not claimed.  The solve
-    and the chromatic number of the subgraph draw on one default work
-    budget; the vertex cover between them is not charged to it.
+    Maximality over all k-chromatic subgraphs is not claimed.  The solve,
+    the vertex cover and the chromatic number of the subgraph draw on one
+    default work budget.
     """
     rule = RuleMode(rule)
     if not 1 <= k < g.n:
@@ -658,7 +667,7 @@ def k_chromatic_subgraph(
     # For k <= n, some surjective k-coloring is proper exactly when k >= chi.
     if result.min_bad == 0:
         raise InvalidParameterError(f"k must stay below the chromatic number, got {k}")
-    cover = bad_edge_vertex_cover(g, result.witness)
+    cover, spent = _cover(bad_edges(g, result.witness).edges, DEFAULT_WORK_BUDGET, spent)
     removed = set(cover)
     sub, kept = g.induced_subgraph(v for v in range(g.n) if v not in removed)
     chi_sub, _ = _chromatic(sub, DEFAULT_WORK_BUDGET, spent)

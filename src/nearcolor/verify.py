@@ -17,19 +17,15 @@ from dataclasses import dataclass
 from .coloring import RuleMode
 from .errors import InvalidParameterError
 from .families import (
-    FamilyResult,
+    FAMILIES,
     complete_defect_polynomial,
-    complete_formula,
     corona_formula,
     cycle_defect_polynomial,
-    helm_formula,
+    family_claim,
     join_bound,
-    odd_cycle_formula,
-    path_formula,
     union_bound,
-    wheel_formula,
 )
-from .graph import Graph, complete, cycle, helm, join, path, wheel
+from .graph import Graph, complete, cycle, join, path
 from .solver import DEFAULT_WORK_BUDGET, SolverConfig, _search, solve
 
 STATUS_MATCH = "match"
@@ -97,9 +93,10 @@ def count_single_big_class_assignments(n: int, k: int, colors: int) -> int:
     return total
 
 
-def _family_row(label: str, claim: FamilyResult, g: Graph, check_count: bool = True) -> CheckRow:
+def _family_row(label: str, name: str, n: int, k: int, check_count: bool = True) -> CheckRow:
+    claim = family_claim(name, n, k)
     want_count = check_count and claim.count is not None
-    res = solve(g, claim.k, RuleMode.ONE_CLASS, True, SolverConfig(count_optimal=want_count))
+    res = solve(FAMILIES[name].build(n), k, RuleMode.ONE_CLASS, True, SolverConfig(count_optimal=want_count))
     min_bad, count = res.min_bad, res.optimal_count
     mismatch = False
     known = False
@@ -125,26 +122,13 @@ def _family_row(label: str, claim: FamilyResult, g: Graph, check_count: bool = T
 
 def family_suite() -> list[CheckRow]:
     """Closed-form family claims versus the exact solver."""
-    rows: list[CheckRow] = []
-    for n in range(2, 10):
-        rows.append(_family_row("path", path_formula(n), path(n)))
-    for n in (3, 5, 7, 9, 11):
-        rows.append(_family_row("odd-cycle", odd_cycle_formula(n), cycle(n)))
-    for n in range(3, 8):
-        g, _ = wheel(n)
-        rows.append(_family_row("wheel", wheel_formula(n, 2), g))
-        if n % 2 == 1:
-            rows.append(_family_row("wheel", wheel_formula(n, 3), g))
-    for n in range(3, 8):
-        g, _ = helm(n)
-        rows.append(_family_row("helm", helm_formula(n, 2), g))
-        if n % 2 == 1:
-            rows.append(_family_row("helm", helm_formula(n, 3), g))
-    for n in range(2, 9):
-        for k in range(1, n):
-            # K8 rows check the minimum only: the row text is pinned byte for byte by
-            # ``verify --json`` and by the cli-adjudicate golden digest in perfbench.
-            rows.append(_family_row("complete", complete_formula(n, k), complete(n), check_count=n <= 7))
+    rows = [_family_row("path", "path", n, 1) for n in range(2, 10)]
+    rows += [_family_row("odd-cycle", "cycle", n, 2) for n in (3, 5, 7, 9, 11)]
+    for name in ("wheel", "helm"):
+        rows += [_family_row(name, name, n, k) for n in range(3, 8) for k in (2, 3) if k == 2 or n % 2]
+    # K8 rows check the minimum only: the row text is pinned byte for byte by
+    # ``verify --json`` and by the cli-adjudicate golden digest in perfbench.
+    rows += [_family_row("complete", "complete", n, k, n <= 7) for n in range(2, 9) for k in range(1, n)]
     return rows
 
 

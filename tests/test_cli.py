@@ -1,12 +1,14 @@
 """End-to-end command-line checks."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nearcolor.cli import main, parse_family_spec
+from nearcolor.families import FAMILIES
 from nearcolor import InvalidParameterError, complete, wheel
 
 
@@ -28,6 +30,45 @@ def test_family_spec_parsing():
         parse_family_spec("join(path:2)")
     with pytest.raises(InvalidParameterError):
         parse_family_spec("path:x")
+
+
+def test_family_spec_size_is_limited_before_anything_is_built(capsys, monkeypatch):
+    def never(n):
+        raise AssertionError(f"built complete:{n}")
+
+    # A guard that let these through would exhaust memory, so the builder is replaced.
+    monkeypatch.setitem(FAMILIES, "complete", FAMILIES["complete"]._replace(build=never))
+    for spec in ("complete:100000", "corona(complete:2000,complete:2000)", "complete:1415"):
+        code, out, err = run(capsys, "gen", "--family", spec)
+        assert (code, out) == (2, "")
+        assert "over the limit of 1000000" in err
+    monkeypatch.undo()
+    assert parse_family_spec("complete:1000").m == 499_500
+
+
+def test_huge_exact_values_print_in_full(tmp_path, capsys):
+    graph_file = tmp_path / "g.el"
+    graph_file.write_text("20000 0")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    cases = [
+        (["count", "--input", str(graph_file), "--k", "2"], 2**20000 - 2),  # optimal_count
+        (["family", "--family", "helm:20001", "--k", "3"], 3 * 20001 * 2**20001),  # claimed_count
+        (["poly", "--family", "cycle:20000", "--lambda", "3", "--bad", "0"], 2**20000 + 2),
+    ]
+    printed = []
+    for argv, _ in cases:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        printed.append([line.rpartition(" ")[2] for line in out.splitlines()])
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for (_, value), words in zip(cases, printed):
+            assert str(value) in words and len(str(value)) > 6000
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_solve_family_json(capsys):
@@ -90,6 +131,11 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--input", str(graph_file), "--k", "1")
     assert code == 2
     assert "line 1" in err
+    # Past 4300 digits a token is refused unread, although main lifts the digit limit.
+    graph_file.write_text("9" * 4301 + " 0")
+    code, _, err = run(capsys, "solve", "--input", str(graph_file), "--k", "1")
+    assert code == 2
+    assert "expected two integers" in err and "line 1" in err
 
 
 def test_missing_file_exits_2(capsys):
@@ -200,6 +246,18 @@ def test_family_unknown_name_is_named_before_k(capsys):
     code, _, err = run(capsys, "family", "--family", "foo:5")
     assert code == 2
     assert "unknown family 'foo'" in err
+
+
+def test_family_claims_fix_k_for_paths_and_cycles(capsys):
+    for spec, k, fixed in (("path:4", "2", 1), ("cycle:9", "3", 2)):
+        code, _, err = run(capsys, "family", "--family", spec, "--k", k)
+        assert code == 2
+        assert f"closed form is for k={fixed}" in err
+        code, out, _ = run(capsys, "family", "--family", spec, "--k", str(fixed), "--json")
+        assert code == 0 and json.loads(out)["k"] == fixed
+    code, _, err = run(capsys, "family", "--family", "wheel:5")
+    assert code == 2
+    assert "k is required" in err
 
 
 def test_bounds_subcommand(capsys):

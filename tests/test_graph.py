@@ -195,6 +195,15 @@ def test_corona_edge_count_formula_random_pairs():
         assert c.is_connected() == g.is_connected()
 
 
+def test_role_maps_are_bijections_onto_the_vertices():
+    operands = [(path(2), cycle(5)), (complete(1), complete(3)), (wheel(4)[0], path(3)), (Graph(0), cycle(3))]
+    built = [wheel(n) for n in range(3, 7)] + [helm(n) for n in range(3, 7)]
+    built += [op(g, h) for op in (disjoint_union, join, corona) for g, h in operands]
+    for g, roles in built:
+        assert isinstance(roles, dict)
+        assert sorted(roles.values()) == list(range(g.n))
+
+
 def test_components_are_ascending_and_ordered_by_smallest_vertex():
     g = Graph(7, ((0, 4), (4, 2), (1, 5), (5, 6)))
     assert g.components() == [[0, 2, 4], [1, 5, 6], [3]]

@@ -402,11 +402,13 @@ def test_one_work_budget_covers_every_search_of_a_call(monkeypatch):
     monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 55)
     with pytest.raises(SizeLimitError):
         chromatic_number(complete(6))
-    # k_chromatic_subgraph(K5, 3) makes 48 placements to solve K5 and 10 for
-    # the chromatic number of the K3 left; one budget covers both.
-    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 58)
+    # k_chromatic_subgraph(K5, 3) makes 48 placements to solve K5, is charged
+    # 12 for the vertex cover of the witness's 3 bad edges (four subsets
+    # tested, 3 each) and makes 10 placements for the chromatic number of the
+    # K3 left; one budget covers all three.
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 70)
     assert k_chromatic_subgraph(complete(5), 3).chromatic == 3
-    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 57)
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 69)
     with pytest.raises(SizeLimitError):
         k_chromatic_subgraph(complete(5), 3)
 
@@ -447,6 +449,23 @@ def test_bad_edge_vertex_cover():
     assert bad_edge_vertex_cover(g, one_bad) == (3,)
     k4 = complete(4)
     assert bad_edge_vertex_cover(k4, Coloring((1, 1, 1, 2), 2)) == (0, 1)
+
+
+def test_bad_edge_vertex_cover_honours_the_work_budget(monkeypatch):
+    # K4 colored (1, 1, 1, 2): 3 bad edges; subsets (0,), (1,), (2,), (0, 1) are tested.
+    k4, coloring = complete(4), Coloring((1, 1, 1, 2), 2)
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 12)
+    assert bad_edge_vertex_cover(k4, coloring) == (0, 1)
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 11)
+    with pytest.raises(SizeLimitError):
+        bad_edge_vertex_cover(k4, coloring)
+    monkeypatch.undo()
+    # R22 with one color: 98 bad edges over 22 endpoints, cover 17; the full
+    # scan runs for seconds, so the default budget must stop it.
+    edges = random.Random(1).sample(list(itertools.combinations(range(22), 2)), 98)
+    g = Graph(22, tuple(edges))
+    with pytest.raises(SizeLimitError):
+        bad_edge_vertex_cover(g, Coloring((1,) * 22, 1))
 
 
 def test_bad_edge_vertex_cover_is_minimum_on_random_colorings():
