@@ -31,7 +31,6 @@ from .families import (
     corona_chromatic,
     corona_formula,
     cycle_defect_polynomial,
-    falling_factorial,
     helm_formula,
     join_bound,
     odd_cycle_formula,
@@ -51,11 +50,7 @@ from .graph import (
     wheel,
 )
 from .io import (
-    coloring_from_json,
-    coloring_to_json,
-    coloring_to_line,
     load_graph,
-    parse_coloring_line,
     parse_dimacs,
     parse_edge_list,
     parse_graph,
@@ -64,7 +59,6 @@ from .io import (
 )
 from .solver import (
     KChromaticSubgraph,
-    MinUsage,
     SolveResult,
     SolverConfig,
     bad_edge_vertex_cover,
@@ -73,7 +67,6 @@ from .solver import (
     enumerate_oracle,
     greedy_heuristic,
     k_chromatic_subgraph,
-    minimum_color_usage,
     optimal_colorings,
     solve,
 )
@@ -91,7 +84,6 @@ __all__ = [
     "InvalidColoringError",
     "InvalidParameterError",
     "KChromaticSubgraph",
-    "MinUsage",
     "NearcolorError",
     "RuleMode",
     "SizeLimitError",
@@ -101,9 +93,6 @@ __all__ = [
     "bad_edge_vertex_cover",
     "bad_edges",
     "chromatic_number",
-    "coloring_from_json",
-    "coloring_to_json",
-    "coloring_to_line",
     "complete",
     "complete_defect_polynomial",
     "complete_formula",
@@ -115,7 +104,6 @@ __all__ = [
     "cycle_defect_polynomial",
     "disjoint_union",
     "enumerate_oracle",
-    "falling_factorial",
     "greedy_heuristic",
     "helm",
     "helm_formula",
@@ -124,10 +112,8 @@ __all__ = [
     "join_bound",
     "k_chromatic_subgraph",
     "load_graph",
-    "minimum_color_usage",
     "odd_cycle_formula",
     "optimal_colorings",
-    "parse_coloring_line",
     "parse_dimacs",
     "parse_edge_list",
     "parse_graph",

@@ -20,6 +20,7 @@ from .errors import (
     InvalidColoringError,
     InvalidParameterError,
     SizeLimitError,
+    _excerpt,
 )
 from .families import (
     OPERATIONS,
@@ -38,14 +39,10 @@ from .verify import CheckRow, has_hard_mismatch, run_suites
 def _load_input(args: argparse.Namespace) -> Graph:
     if getattr(args, "input", None):
         try:
-            g = load_graph(args.input)
+            return load_graph(args.input)
         except (OSError, UnicodeDecodeError) as exc:
             raise GraphFormatError(f"cannot read {args.input}: {exc}")
-    else:
-        g = parse_family_spec(args.family)
-    if getattr(args, "require_connected", False) and not g.is_connected():
-        raise InvalidParameterError("input graph is not connected (--require-connected)")
-    return g
+    return parse_family_spec(args.family)
 
 
 def _add_graph_source(sub: argparse.ArgumentParser, family_only: bool = False) -> None:
@@ -65,7 +62,6 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
         "--cap", type=int, default=DEFAULT_WORK_BUDGET,
         help=f"work budget: candidate placements the exact search may make (default {DEFAULT_WORK_BUDGET})",
     )
-    sub.add_argument("--require-connected", action="store_true")
     sub.add_argument("--json", action="store_true")
 
 
@@ -161,7 +157,7 @@ def _cmd_solve(args: argparse.Namespace, counting: bool) -> int:
     if result.min_bad == 0:
         # A coloring with no bad edge is proper, so k is at least the chromatic number.
         print(
-            f"note: k={args.k} is not below the chromatic number; "
+            f"note: k={_excerpt(args.k)} is not below the chromatic number; "
             "the coloring found is proper",
             file=sys.stderr,
         )

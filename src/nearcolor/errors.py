@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the excerpt their messages echo."""
 
 
 class NearcolorError(Exception):
@@ -29,3 +29,11 @@ class GraphFormatError(NearcolorError, ValueError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+def _excerpt(value: object) -> str:
+    """``repr`` of a string or ``str`` of anything else; past 60 characters
+    only its first and last 28 are kept, around an ellipsis, so an error
+    message that echoes input stays one line long however long the input."""
+    text = repr(value) if isinstance(value, str) else str(value)
+    return text if len(text) <= 60 else f"{text[:28]}...{text[-28:]}"

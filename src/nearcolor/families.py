@@ -15,11 +15,11 @@ see the README for the full reconciliation table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Callable, NamedTuple
 
 from .coloring import RuleMode
-from .errors import InvalidParameterError, SizeLimitError
+from .errors import InvalidParameterError, SizeLimitError, _excerpt
 from .graph import Graph, complete, corona, cycle, disjoint_union, helm, join, path, wheel
 from .io import MAX_VERTICES
 from .solver import _class_sizes, chromatic_number, solve
@@ -53,7 +53,7 @@ class FamilyResult:
 def path_formula(n: int) -> FamilyResult:
     """Single color on a path: every edge is bad, and there is one coloring."""
     if n < 2:
-        raise InvalidParameterError(f"a path needs at least 2 vertices, got {n}")
+        raise InvalidParameterError(f"a path needs at least 2 vertices, got {_excerpt(n)}")
     return FamilyResult("path", n, 1, n - 1, 1)
 
 
@@ -61,7 +61,7 @@ def odd_cycle_formula(n: int) -> FamilyResult:
     """Two colors on an odd cycle: one bad edge, 2n optimal colorings."""
     if n < 3 or n % 2 == 0:
         raise InvalidParameterError(
-            f"two colors sit below the chromatic number only for odd cycles, got n={n}"
+            f"two colors sit below the chromatic number only for odd cycles, got n={_excerpt(n)}"
         )
     return FamilyResult("cycle", n, 2, 1, 2 * n)
 
@@ -75,7 +75,7 @@ def _rim_formula(family: str, n: int, k: int) -> FamilyResult:
     counts); they are returned with dispute flags.
     """
     if n < 3:
-        raise InvalidParameterError(f"a {family} rim needs at least 3 vertices, got {n}")
+        raise InvalidParameterError(f"a {family} rim needs at least 3 vertices, got {_excerpt(n)}")
     if k == 2:
         if n % 2 == 0:
             return FamilyResult(family, n, 2, n // 2, 4)
@@ -89,7 +89,7 @@ def _rim_formula(family: str, n: int, k: int) -> FamilyResult:
             )
         count = 3 * n * 2**n if family == "helm" else 3 * n
         return FamilyResult(family, n, 3, 1, count, count_disputed=True)
-    raise InvalidParameterError(f"no {family} closed form for k={k}")
+    raise InvalidParameterError(f"no {family} closed form for k={_excerpt(k)}")
 
 
 def wheel_formula(n: int, k: int) -> FamilyResult:
@@ -110,9 +110,9 @@ def complete_formula(n: int, k: int) -> FamilyResult:
     colorings.
     """
     if n < 2:
-        raise InvalidParameterError(f"need at least 2 vertices, got {n}")
+        raise InvalidParameterError(f"need at least 2 vertices, got {_excerpt(n)}")
     if not 1 <= k <= n - 1:
-        raise InvalidParameterError(f"k must lie in 1..{n - 1}, got {k}")
+        raise InvalidParameterError(f"k must lie in 1..{_excerpt(n - 1)}, got {_excerpt(k)}")
     x = n - k
     count = (n - x) * comb(n, x + 1) * factorial(n - x - 1)
     return FamilyResult("complete", n, k, x * (x + 1) // 2, count)
@@ -144,14 +144,14 @@ def split_spec(spec: str) -> tuple[str, int]:
     if name not in FAMILIES:
         known = ", ".join(FAMILIES)
         raise InvalidParameterError(
-            f"unknown family {name!r} in {spec!r} (expected one of {known}, as name:n)"
+            f"unknown family {_excerpt(name)} in {_excerpt(spec)} (expected one of {known}, as name:n)"
         )
     if not sep:
-        raise InvalidParameterError(f"expected name:n, got {spec!r}")
+        raise InvalidParameterError(f"expected name:n, got {_excerpt(spec)}")
     try:
         return name, int(arg)
     except ValueError:
-        raise InvalidParameterError(f"family parameter must be an integer, got {arg!r}")
+        raise InvalidParameterError(f"family parameter must be an integer, got {_excerpt(arg)}")
 
 
 def family_claim(name: str, n: int, k: int | None = None) -> FamilyResult:
@@ -178,13 +178,14 @@ def parse_family_spec(spec: str) -> Graph:
     op = OPERATIONS.get(name) if paren and inner.endswith(")") else None
     parts = inner[:-1].split(",") if op else [spec]
     if op and len(parts) != 2:
-        raise InvalidParameterError(f"{name}(...) takes exactly two operands, got {spec!r}")
+        raise InvalidParameterError(f"{name}(...) takes exactly two operands, got {_excerpt(spec)}")
     operands = [split_spec(part.strip()) for part in parts]
     sizes = [FAMILIES[f].size(max(n, 0)) for f, n in operands]
     vertices, edges = op.size(*sizes) if op else sizes[0]
     if max(vertices, edges) > MAX_VERTICES:
         raise InvalidParameterError(
-            f"family spec {spec!r} makes {vertices} vertices and {edges} edges,"
+            f"family spec {_excerpt(spec)} makes {_excerpt(vertices)} vertices"
+            f" and {_excerpt(edges)} edges,"
             f" over the limit of {MAX_VERTICES}"
         )
     graphs = [FAMILIES[f].build(n) for f, n in operands]
@@ -195,16 +196,6 @@ def parse_family_spec(spec: str) -> Graph:
 # Defect polynomials
 # ---------------------------------------------------------------------------
 
-def falling_factorial(x: int, k: int) -> int:
-    """x (x-1) (x-2) ... (x-k+1)."""
-    if k < 0:
-        raise InvalidParameterError(f"falling factorial needs k >= 0, got {k}")
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
-
-
 def cycle_defect_polynomial(n: int, bad: int, colors: int) -> int:
     """Number of assignments of ``colors`` colors to an n-cycle with exactly
     ``bad`` bad edges (all assignments compete: no surjectivity, no class rule).
@@ -212,11 +203,11 @@ def cycle_defect_polynomial(n: int, bad: int, colors: int) -> int:
     Closed form: C(n, bad) * ((colors-1)^(n-bad) + (-1)^(n-bad) (colors-1)).
     """
     if n < 3:
-        raise InvalidParameterError(f"a cycle needs at least 3 vertices, got {n}")
+        raise InvalidParameterError(f"a cycle needs at least 3 vertices, got {_excerpt(n)}")
     if not 0 <= bad <= n:
-        raise InvalidParameterError(f"bad-edge count must lie in 0..{n}, got {bad}")
+        raise InvalidParameterError(f"bad-edge count must lie in 0..{_excerpt(n)}, got {_excerpt(bad)}")
     if colors < 1:
-        raise InvalidParameterError(f"need at least 1 color, got {colors}")
+        raise InvalidParameterError(f"need at least 1 color, got {_excerpt(colors)}")
     sign = -1 if (n - bad) % 2 else 1
     return comb(n, bad) * ((colors - 1) ** (n - bad) + sign * (colors - 1))
 
@@ -229,12 +220,12 @@ def complete_defect_polynomial(n: int, k: int, colors: int) -> int:
     Closed form: C(n, n-k+1) * colors * (colors-1) * ... * (colors-k+1).
     """
     if n < 2:
-        raise InvalidParameterError(f"need at least 2 vertices, got {n}")
+        raise InvalidParameterError(f"need at least 2 vertices, got {_excerpt(n)}")
     if not 2 <= k <= n - 1:
-        raise InvalidParameterError(f"k must lie in 2..{n - 1}, got {k}")
+        raise InvalidParameterError(f"k must lie in 2..{_excerpt(n - 1)}, got {_excerpt(k)}")
     if colors < k:
-        raise InvalidParameterError(f"need at least k={k} colors, got {colors}")
-    return comb(n, n - k + 1) * falling_factorial(colors, k)
+        raise InvalidParameterError(f"need at least k={_excerpt(k)} colors, got {_excerpt(colors)}")
+    return comb(n, n - k + 1) * perm(colors, k)
 
 
 def corona_chromatic(chi_g: int, chi_h: int) -> int:
@@ -373,7 +364,7 @@ def join_bound(
     """
     rule = RuleMode(rule)
     if k < 1:
-        raise InvalidParameterError(f"color count must be a positive integer, got {k!r}")
+        raise InvalidParameterError(f"color count must be a positive integer, got {_excerpt(k)}")
     g, h, labels, chi_g = _smaller_chromatic_first(g, h, labels)
     t = _color_budget(k, chi_g, relaxed)
     left, sizes_g = _class_sizes(g, t, rule)
@@ -411,7 +402,7 @@ def corona_formula(
     chi = corona_chromatic(chi_g, chromatic_number(h)) if h.n else chi_g
     if not 1 <= k < chi:
         raise InvalidParameterError(
-            f"k must satisfy 1 <= k < chromatic number of the corona ({chi}), got {k}"
+            f"k must satisfy 1 <= k < chromatic number of the corona ({chi}), got {_excerpt(k)}"
         )
     t = _color_budget(k, chi_g, relaxed)
     right, sizes_h = _class_sizes(h, k, rule)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _excerpt
 
 Edge = tuple[int, int]
 _NO_NEIGHBORS: frozenset[int] = frozenset()
@@ -74,10 +74,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Degrees in non-increasing order."""
-        return tuple(sorted((len(s) for s in self.adj), reverse=True))
-
     def components(self) -> list[list[int]]:
         """Connected components as ascending vertex lists, ordered by smallest vertex.
 
@@ -128,14 +124,14 @@ class Graph:
 def path(n: int) -> Graph:
     """Path on n >= 2 vertices: 0-1-2-...-(n-1)."""
     if n < 2:
-        raise InvalidParameterError(f"a path needs at least 2 vertices, got {n}")
+        raise InvalidParameterError(f"a path needs at least 2 vertices, got {_excerpt(n)}")
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices: 0-1-...-(n-1)-0."""
     if n < 3:
-        raise InvalidParameterError(f"a cycle needs at least 3 vertices, got {n}")
+        raise InvalidParameterError(f"a cycle needs at least 3 vertices, got {_excerpt(n)}")
     edges = tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),)
     return Graph(n, edges)
 
@@ -143,7 +139,7 @@ def cycle(n: int) -> Graph:
 def wheel(n: int) -> tuple[Graph, dict[str, int]]:
     """Wheel with an n-cycle rim (n >= 3): hub 0 joined to rim vertices 1..n."""
     if n < 3:
-        raise InvalidParameterError(f"a wheel rim needs at least 3 vertices, got {n}")
+        raise InvalidParameterError(f"a wheel rim needs at least 3 vertices, got {_excerpt(n)}")
     edges = [(0, i) for i in range(1, n + 1)]
     edges += [(i, i + 1) for i in range(1, n)]
     edges.append((1, n))
@@ -167,7 +163,7 @@ def helm(n: int) -> tuple[Graph, dict[str, int]]:
 def complete(n: int) -> Graph:
     """Complete graph on n >= 1 vertices."""
     if n < 1:
-        raise InvalidParameterError(f"a complete graph needs at least 1 vertex, got {n}")
+        raise InvalidParameterError(f"a complete graph needs at least 1 vertex, got {_excerpt(n)}")
     return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
 
 

@@ -1,4 +1,4 @@
-"""Reading and writing graphs and colorings.
+"""Reading and writing graphs.
 
 Canonical edge-list format: the first significant line is ``n m``, followed
 by exactly m lines ``u v`` with 0-based endpoints; ``#`` starts a comment.
@@ -10,10 +10,8 @@ always emits the canonical format with edges sorted lexicographically.
 
 from __future__ import annotations
 
-import json
-
 from .coloring import Coloring, _check_fit
-from .errors import GraphFormatError, InvalidColoringError
+from .errors import GraphFormatError, _excerpt
 from .graph import Edge, Graph
 
 # Largest vertex count a graph file may declare, checked before any vertex is built.
@@ -39,14 +37,14 @@ def _parse_int_pair(parts: list[str], line_no: int, what: str) -> tuple[int, int
             return int(parts[0]), int(parts[1])
     except ValueError:
         pass
-    raise GraphFormatError(f"expected two integers for {what}, got {' '.join(parts)!r}", line_no)
+    raise GraphFormatError(f"expected two integers for {what}, got {_excerpt(' '.join(parts))}", line_no)
 
 
 def _check_counts(n: int, m: int, line_no: int) -> None:
     if n < 0 or m < 0:
         raise GraphFormatError("vertex and edge counts must be non-negative", line_no)
     if n > MAX_VERTICES:
-        raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", line_no)
+        raise GraphFormatError(f"vertex count {_excerpt(n)} exceeds the limit of {MAX_VERTICES}", line_no)
 
 
 def _collect_edges(
@@ -61,7 +59,9 @@ def _collect_edges(
     edges: list[Edge] = []
     for line_no, u, v in pairs:
         if not (lo <= u <= hi and lo <= v <= hi):
-            raise GraphFormatError(f"endpoint out of range {lo}..{hi} in edge {u} {v}", line_no)
+            raise GraphFormatError(
+                f"endpoint out of range {lo}..{hi} in edge {_excerpt(u)} {_excerpt(v)}", line_no
+            )
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}", line_no)
         e = (min(u, v) - lo, max(u, v) - lo)
@@ -83,7 +83,7 @@ def parse_edge_list(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise GraphFormatError(
-            f"header declares {m} edges but file contains {len(body)} edge lines",
+            f"header declares {_excerpt(m)} edges but file contains {len(body)} edge lines",
             header_no,
         )
     pairs = []
@@ -101,19 +101,19 @@ def parse_dimacs(text: str) -> Graph:
     header_no, header = lines[0]
     parts = header.split()
     if len(parts) != 4 or parts[0] != "p" or parts[1] != "edge":
-        raise GraphFormatError(f"expected header 'p edge n m', got {header!r}", header_no)
+        raise GraphFormatError(f"expected header 'p edge n m', got {_excerpt(header)}", header_no)
     n, m = _parse_int_pair(parts[2:], header_no, "header 'p edge n m'")
     _check_counts(n, m, header_no)
     pairs = []
     for line_no, line in lines[1:]:
         parts = line.split()
         if parts[0] != "e":
-            raise GraphFormatError(f"unexpected line type {parts[0]!r}", line_no)
+            raise GraphFormatError(f"unexpected line type {_excerpt(parts[0])}", line_no)
         u, v = _parse_int_pair(parts[1:], line_no, "edge 'e u v'")
         pairs.append((line_no, u, v))
     if len(pairs) != m:
         raise GraphFormatError(
-            f"header declares {m} edges but file contains {len(pairs)} edge lines",
+            f"header declares {_excerpt(m)} edges but file contains {len(pairs)} edge lines",
             header_no,
         )
     return Graph(n, tuple(_collect_edges(pairs, n, one_based=True)))
@@ -155,34 +155,3 @@ def write_dot(g: Graph, coloring: Coloring | None = None) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# Coloring serialization
-# ---------------------------------------------------------------------------
-
-def coloring_to_line(coloring: Coloring) -> str:
-    """One line of n space-separated 1-based color indices."""
-    return " ".join(str(c) for c in coloring.assignment)
-
-
-def parse_coloring_line(text: str, k: int | None = None) -> Coloring:
-    """Parse a space-separated color line; k defaults to the largest color used."""
-    try:
-        values = [int(tok) for tok in text.split()]
-    except ValueError:
-        raise InvalidColoringError(f"coloring line must contain integers, got {text!r}")
-    if not values:
-        raise InvalidColoringError("coloring line is empty")
-    return Coloring(tuple(values), k if k is not None else max(values))
-
-
-def coloring_to_json(coloring: Coloring) -> str:
-    return json.dumps({"assignment": list(coloring.assignment), "k": coloring.k})
-
-
-def coloring_from_json(text: str) -> Coloring:
-    try:
-        data = json.loads(text)
-        return Coloring(tuple(data["assignment"]), int(data["k"]))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InvalidColoringError(f"malformed coloring JSON: {exc}")

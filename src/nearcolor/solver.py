@@ -7,16 +7,15 @@ oracle exactly on the minimum, the count of optimal colorings, and the
 lexicographically smallest witness.
 
 One search kernel, ``_search``, serves every exact entry point (``solve``,
-``count_optimal``, ``optimal_colorings``, ``minimum_color_usage``), in up
-to three phases.  The bound phase visits the vertices of each connected
-component in static degree-descending order and prunes on the incumbent.
-The witness walk re-walks the tree in vertex-index order with the proven
-optimum as the bound, so the first leaf it reaches is the lexicographically
-smallest witness; ``solve`` stops it there, while ``optimal_colorings`` and
-the class-usage readers let it visit every canonical optimum exactly once.
-When ``solve`` counts, a count walk follows: it places the components one
-after another, each in degree order, and counts the optima without
-listing them (see below).
+``count_optimal``, ``optimal_colorings``), in up to three phases.  The
+bound phase visits the vertices of each connected component in static
+degree-descending order and prunes on the incumbent.  The witness walk
+re-walks the tree in vertex-index order with the proven optimum as the
+bound, so the first leaf it reaches is the lexicographically smallest
+witness; ``solve`` stops it there, while ``optimal_colorings`` lets it
+visit every canonical optimum exactly once.  When ``solve`` counts, a
+count walk follows: it places the components one after another, each in
+degree order, and counts the optima without listing them (see below).
 
 The kernel breaks color symmetry: a vertex may only take a color at most
 one above the number of colors its prefix uses, so the colors in use are
@@ -93,7 +92,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .coloring import Coloring, RuleMode, bad_edges
-from .errors import InfeasibleError, InvalidParameterError, SizeLimitError
+from .errors import InfeasibleError, InvalidParameterError, SizeLimitError, _excerpt
 from .graph import Edge, Graph
 
 # Candidate placements one public exact call may make (``--cap``).
@@ -135,10 +134,10 @@ class SolveResult:
 
 def _check_instance(g: Graph, k: int, surjective: bool) -> None:
     if not isinstance(k, int) or k < 1:
-        raise InvalidParameterError(f"color count must be a positive integer, got {k!r}")
+        raise InvalidParameterError(f"color count must be a positive integer, got {_excerpt(k)}")
     if surjective and k > g.n:
         raise InfeasibleError(
-            f"no surjective coloring exists: {k} colors onto {g.n} vertices"
+            f"no surjective coloring exists: {_excerpt(k)} colors onto {g.n} vertices"
         )
 
 
@@ -275,9 +274,12 @@ def _search(
         pos[v] = i
     later = [tuple(u for u in g.adj[v] if pos[u] > i) for i, v in enumerate(order)]
     colors = [0] * n
+    # A canonical assignment uses at most min(k, n) colors, and past n every
+    # row keeps a zero among its first n colors, so wider rows change nothing.
+    width = min(k, n)
     # cnt[w][c]: placed neighbors of w with color c.  Slot 0 is a sentinel
     # above every count, so ``x not in cnt[w]`` asks whether no color holds x.
-    cnt = [[n + 1] + [0] * k for _ in range(n)]
+    cnt = [[n + 1] + [0] * width for _ in range(n)]
     low = [0] * n  # low[w] = min over colors c of cnt[w][c]
 
     def dfs(i: int, bad: int, used: int, dirty: int, lb: int) -> None:
@@ -328,7 +330,7 @@ def _search(
 
     descend = dfs
     if memo is not None:
-        weight = [math.perm(k, j) for j in range(k + 1)]
+        weight = [math.perm(k, j) for j in range(width + 1)]
         total = 0  # weighted leaves counted so far, cached subtrees included
         # A cut is a position where no placed vertex has an unplaced neighbor.
         cuts, reach = {0}, 0
@@ -551,46 +553,6 @@ def optimal_colorings(
         yield Coloring(assign, k)
 
 
-@dataclass(frozen=True)
-class MinUsage:
-    """Smallest per-color usage over all optimal colorings, with an attaining pair."""
-
-    value: int
-    color: int
-    witness: Coloring
-
-
-def minimum_color_usage(
-    g: Graph,
-    k: int,
-    rule: RuleMode | str = RuleMode.ONE_CLASS,
-    surjective: bool = True,
-) -> MinUsage:
-    """Minimum, over optimal colorings and colors, of a color's usage count.
-
-    Deterministic: the first attaining coloring in lexicographic order, ties
-    to the smallest color.  With surjectivity off the minimum may be 0 (an
-    unused color).  Only canonical optima are scanned: a relabeled copy has
-    the same usage counts and is never lexicographically smaller.  Instances
-    beyond the default work budget raise :class:`SizeLimitError`.
-    """
-    best: MinUsage | None = None
-
-    def first_smallest(colors: list[int], bad: int, used: int) -> int:
-        nonlocal best
-        counts = [0] * (k + 1)
-        for c in colors:
-            counts[c] += 1
-        value = min(counts[1:])
-        if best is None or value < best.value:
-            best = MinUsage(value, counts.index(value, 1), Coloring(tuple(colors), k))
-        return -1 if value == 0 else bad
-
-    _optimum(g, k, RuleMode(rule), surjective, DEFAULT_WORK_BUDGET, first_smallest)
-    assert best is not None
-    return best
-
-
 def _class_sizes(g: Graph, k: int, rule: RuleMode) -> tuple[int, set[tuple[int, ...]]]:
     """Minimum bad-edge count and the ascending class sizes (0 for an unused
     color) of every optimal coloring, surjective exactly when k <= n, from
@@ -715,6 +677,9 @@ def _greedy(
     g: Graph, k: int, rule: RuleMode, surjective: bool, order: Sequence[int]
 ) -> tuple[int, list[int]]:
     """``greedy_heuristic``'s (bad edges, colors) on a checked instance, coloring in ``order``."""
+    # A vertex has fewer than n neighbors, so a color in 1..n is free for it
+    # and no color above n is ever its first least or first improving choice.
+    k = min(k, g.n)
     one_class = rule is RuleMode.ONE_CLASS
     colors = [0] * g.n
     sizes = [g.n] + [0] * k  # class 0 holds the vertices not yet colored

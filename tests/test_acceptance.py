@@ -23,7 +23,6 @@ from nearcolor import (
     cycle,
     cycle_defect_polynomial,
     enumerate_oracle,
-    falling_factorial,
     helm,
     join,
     join_bound,
@@ -162,7 +161,7 @@ def test_a07_complete_defect_polynomial():
                 product_form = (
                     math.comb(colors, k) * (n - x) * math.comb(n, x + 1) * math.factorial(n - x - 1)
                 )
-                closed_form = math.comb(n, n - k + 1) * falling_factorial(colors, k)
+                closed_form = math.comb(n, n - k + 1) * math.perm(colors, k)
                 if product_form != closed_form:
                     failures.append(f"n={n} k={k} colors={colors}: product {product_form} != closed {closed_form}")
     _report("A07 complete-graph defect counts and product identity", not failures, "; ".join(failures))

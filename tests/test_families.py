@@ -20,10 +20,8 @@ from nearcolor import (
     cycle,
     cycle_defect_polynomial,
     enumerate_oracle,
-    falling_factorial,
     helm_formula,
     join_bound,
-    minimum_color_usage,
     odd_cycle_formula,
     optimal_colorings,
     path,
@@ -144,16 +142,8 @@ def test_complete_defect_polynomial_product_identity():
                     * math.comb(n, x + 1)
                     * math.factorial(n - x - 1)
                 )
-                closed_form = math.comb(n, n - k + 1) * falling_factorial(colors, k)
+                closed_form = math.comb(n, n - k + 1) * math.perm(colors, k)
                 assert subset_form == closed_form
-
-
-def test_falling_factorial():
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(5, 3) == 60
-    assert falling_factorial(3, 4) == 0
-    with pytest.raises(InvalidParameterError):
-        falling_factorial(3, -1)
 
 
 # --- operation bounds -----------------------------------------------------
@@ -258,7 +248,7 @@ def test_cross_terms_match_labelled_optima_on_seeded_pairs():
                     if k >= corona_chromatic(chi_base, chi_h):
                         continue
                     report = corona_formula(base, h, k, rule=rule, relaxed=relaxed)
-                    want = minimum_color_usage(h, k, rule, k <= h.n).value * base.n
+                    want = min(min(p) for p in _labelled_profiles(h, k, k, rule)) * base.n
                     assert report.cross_term == want, (base, h, k, rule, relaxed)
                     checked["corona"] += 1
     assert min(checked.values()) > 200

@@ -1,4 +1,4 @@
-"""Edge-list and DIMACS parsing, the canonical writer, and coloring formats."""
+"""Edge-list and DIMACS parsing and the canonical and DOT writers."""
 
 import pytest
 from hypothesis import given
@@ -9,11 +9,7 @@ from nearcolor import (
     Graph,
     GraphFormatError,
     InvalidColoringError,
-    coloring_from_json,
-    coloring_to_json,
-    coloring_to_line,
     complete,
-    parse_coloring_line,
     parse_dimacs,
     parse_edge_list,
     parse_graph,
@@ -79,6 +75,17 @@ def test_parse_rejects_a_vertex_count_above_the_limit():
                 parse(text)
             assert exc.value.line_no == line_no
             assert f"vertex count {n} exceeds" in str(exc.value)
+
+
+def test_errors_echo_a_short_token_whole_and_a_long_one_cut():
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph("3 1\n0 x\n")
+    assert str(exc.value) == "line 2: expected two integers for edge 'u v', got '0 x'"
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph("3 1\n0 " + "x" * 10_000 + "\n")
+    message = str(exc.value)
+    assert message.startswith("line 2: expected two integers for edge 'u v', got '0 xx")
+    assert message.endswith("xx'") and "..." in message and len(message) < 120
 
 
 def test_parse_dimacs_rejects_unknown_line_type():
@@ -148,21 +155,3 @@ def test_dot_output_carries_color_attributes():
     with pytest.raises(InvalidColoringError):
         write_dot(g, Coloring((1,), 1))
 
-
-def test_coloring_line_round_trip():
-    c = Coloring((1, 2, 1, 3), 3)
-    assert coloring_to_line(c) == "1 2 1 3"
-    assert parse_coloring_line("1 2 1 3") == c
-    assert parse_coloring_line("1 2 1 3", k=5).k == 5
-    with pytest.raises(InvalidColoringError):
-        parse_coloring_line("1 two 3")
-    with pytest.raises(InvalidColoringError):
-        parse_coloring_line("")
-
-
-def test_coloring_json_round_trip():
-    c = Coloring((2, 1, 2), 2)
-    assert coloring_from_json(coloring_to_json(c)) == c
-    assert coloring_to_json(c) == '{"assignment": [2, 1, 2], "k": 2}'
-    with pytest.raises(InvalidColoringError):
-        coloring_from_json('{"assignment": [1]}')

@@ -26,7 +26,6 @@ from nearcolor import (
     helm,
     is_valid,
     k_chromatic_subgraph,
-    minimum_color_usage,
     optimal_colorings,
     path,
     solve,
@@ -332,15 +331,6 @@ def test_optima_with_unused_colors_agree_with_oracle_and_brute_force():
                     got = [c.assignment for c in optimal_colorings(g, k, rule, surjective)]
                     assert got == expect
                     short_optima += sum(1 for a in expect if len(set(a)) < k)
-                    usage = [(min(a.count(c) for c in range(1, k + 1)), a) for a in expect]
-                    value = min(u for u, _ in usage)
-                    first = next(a for u, a in usage if u == value)
-                    mu = minimum_color_usage(g, k, rule, surjective)
-                    assert (mu.value, mu.color, mu.witness.assignment) == (
-                        value,
-                        next(c for c in range(1, k + 1) if first.count(c) == value),
-                        first,
-                    )
     assert short_optima > 0
 
 
@@ -373,6 +363,16 @@ def test_infeasible_and_invalid_parameters():
     assert solve(path(2), 3, surjective=False).min_bad == 0
 
 
+def test_spare_colors_beyond_n_add_no_setup_cost():
+    # A canonical assignment of n vertices uses at most n colors, so the
+    # kernel's and the heuristic's color tables stop growing at n.
+    k = 10**5
+    result = solve(path(3), k, surjective=False, config=SolverConfig(count_optimal=True))
+    assert result.optimal_count == k * (k - 1) ** 2
+    assert solve(path(3), 10**7, surjective=False).witness.assignment == (1, 2, 1)
+    assert greedy_heuristic(path(3), 10**7, surjective=False).min_bad == 0
+
+
 def test_enumeration_cap():
     with pytest.raises(SizeLimitError):
         enumerate_oracle(complete(10), 4, cap=1000)
@@ -385,8 +385,6 @@ def test_every_exact_entry_point_honours_the_cap():
         solve(g, 3)
     with pytest.raises(SizeLimitError):
         list(optimal_colorings(g, 3))
-    with pytest.raises(SizeLimitError):
-        minimum_color_usage(g, 3)
 
 
 def test_one_work_budget_covers_every_search_of_a_call(monkeypatch):
@@ -422,23 +420,6 @@ def test_reference_instance_r22_fits_the_default_work_budget():
     for rule, expect in ((RuleMode.UNRESTRICTED, (13, 96)), (RuleMode.ONE_CLASS, (25, 30))):
         res = solve(g, 3, rule, True, SolverConfig(count_optimal=True))
         assert (res.min_bad, res.optimal_count) == expect
-
-
-def test_minimum_color_usage_values():
-    assert minimum_color_usage(complete(3), 2).value == 1
-    assert minimum_color_usage(cycle(5), 2).value == 2
-    assert minimum_color_usage(complete(1), 1).value == 1
-    # with surjectivity off and spare colors, some color goes unused
-    assert minimum_color_usage(complete(1), 2, surjective=False).value == 0
-
-
-def test_minimum_color_usage_witness_attains_value():
-    res = minimum_color_usage(cycle(5), 2)
-    counts = [0] * (res.witness.k + 1)
-    for c in res.witness.assignment:
-        counts[c] += 1
-    assert counts[res.color] == res.value
-    assert min(counts[1:]) == res.value
 
 
 def test_bad_edge_vertex_cover():
