@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 verification found an undocumented mismatch,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -22,18 +21,35 @@ from .errors import (
     SizeLimitError,
     _excerpt,
 )
-from .families import (
-    OPERATIONS,
-    complete_defect_polynomial,
-    cycle_defect_polynomial,
-    family_claim,
-    parse_family_spec,
-    split_spec,
-)
 from .graph import Graph
 from .io import load_graph, write_dot, write_edge_list
 from .solver import DEFAULT_WORK_BUDGET, SolverConfig, greedy_heuristic, solve
-from .verify import CheckRow, has_hard_mismatch, run_suites
+
+# ``families`` (family specs, ``--op``) and ``verify`` are imported only by
+# the commands that use them: without a bytecode cache every module a run
+# imports is compiled again, so each one adds to start-up.  Hence the keys
+# of ``families.OPERATIONS`` are written out here, in order.
+_OPERATIONS = ("union", "join", "corona")
+_HEADER = ("case", "params", "claimed", "computed", "status")
+
+
+def __getattr__(name: str):
+    # ``from nearcolor.cli import parse_family_spec`` without importing
+    # ``families`` for every command.
+    if name == "parse_family_spec":
+        from .families import parse_family_spec
+
+        return parse_family_spec
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _int(text: str) -> int:
+    """argparse type for the integer flags: its own message would echo a
+    rejected token whole."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(text)}")
 
 
 def _load_input(args: argparse.Namespace) -> Graph:
@@ -42,6 +58,8 @@ def _load_input(args: argparse.Namespace) -> Graph:
             return load_graph(args.input)
         except (OSError, UnicodeDecodeError) as exc:
             raise GraphFormatError(f"cannot read {args.input}: {exc}")
+    from .families import parse_family_spec
+
     return parse_family_spec(args.family)
 
 
@@ -55,11 +73,11 @@ def _add_graph_source(sub: argparse.ArgumentParser, family_only: bool = False) -
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=int, required=True, help="number of available colors")
+    sub.add_argument("--k", type=_int, required=True, help="number of available colors")
     sub.add_argument("--rule", choices=[m.value for m in RuleMode], default=RuleMode.ONE_CLASS.value)
     sub.add_argument("--allow-unused", action="store_true", help="do not require every color to be used")
     sub.add_argument(
-        "--cap", type=int, default=DEFAULT_WORK_BUDGET,
+        "--cap", type=_int, default=DEFAULT_WORK_BUDGET,
         help=f"work budget: candidate placements the exact search may make (default {DEFAULT_WORK_BUDGET})",
     )
     sub.add_argument("--json", action="store_true")
@@ -83,30 +101,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("family", help="closed-form value for a named family")
     sub.add_argument("--family", required=True, help="one of path:n, cycle:n, wheel:n, helm:n, complete:n")
-    sub.add_argument("--k", type=int, default=None)
+    sub.add_argument("--k", type=_int, default=None)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(run=_cmd_family)
 
     sub = commands.add_parser("poly", help="defect-polynomial value")
     sub.add_argument("--family", required=True, help="cycle:n or complete:n")
-    sub.add_argument("--lambda", dest="colors", type=int, required=True, help="number of available colors")
-    sub.add_argument("--bad", type=int, default=None, help="bad-edge count (cycle families)")
-    sub.add_argument("--k", type=int, default=None, help="used-color count (complete families)")
+    sub.add_argument("--lambda", dest="colors", type=_int, required=True, help="number of available colors")
+    sub.add_argument("--bad", type=_int, default=None, help="bad-edge count (cycle families)")
+    sub.add_argument("--k", type=_int, default=None, help="used-color count (complete families)")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(run=_cmd_poly)
 
     sub = commands.add_parser("bounds", help="operation bound or formula report")
-    sub.add_argument("--op", choices=list(OPERATIONS), required=True)
+    sub.add_argument("--op", choices=_OPERATIONS, required=True)
     sub.add_argument("--left", required=True, help="family spec of the left operand")
     sub.add_argument("--right", required=True, help="family spec of the right operand")
-    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--k", type=_int, required=True)
     sub.add_argument("--relaxed", action="store_true", help="let the smaller side use all k colors")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(run=_cmd_bounds)
 
     sub = commands.add_parser("verify", help="closed forms versus the exact search kernel")
     sub.add_argument("--suite", choices=["families", "polys", "bounds", "all"], default="all")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_int, default=0)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(run=_cmd_verify)
 
@@ -172,6 +190,8 @@ def _cmd_solve(args: argparse.Namespace, counting: bool) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    from .families import family_claim, split_spec
+
     claim = family_claim(*split_spec(args.family), args.k)
     payload = {
         "family": claim.family,
@@ -187,6 +207,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
+    from .families import complete_defect_polynomial, cycle_defect_polynomial, split_spec
+
     name, n = split_spec(args.family)
     if name == "cycle":
         if args.bad is None:
@@ -208,27 +230,27 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from .families import OPERATIONS, parse_family_spec
+
     g = parse_family_spec(args.left)
     h = parse_family_spec(args.right)
     report = OPERATIONS[args.op].report(g, h, args.k, relaxed=args.relaxed, labels=(args.left, args.right))
-    _emit(dataclasses.asdict(report), args.json)
+    _emit(report._asdict(), args.json)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import has_hard_mismatch, run_suites
+
     names = ["families", "polys", "bounds"] if args.suite == "all" else [args.suite]
     print(f"seed: {args.seed}")
     rows = run_suites(names, seed=args.seed)
     if args.json:
-        print(json.dumps([row.__dict__ for row in rows]))
+        print(json.dumps([row._asdict() for row in rows]))
     else:
-        widths = [
-            max(len(getattr(r, col)) for r in rows + [_HEADER])
-            for col in ("case", "params", "claimed", "computed", "status")
-        ]
-        for row in [_HEADER] + rows:
-            cells = (row.case, row.params, row.claimed, row.computed, row.status)
-            print("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip())
+        widths = [max(map(len, column)) for column in zip(_HEADER, *rows)]
+        for row in [_HEADER, *rows]:
+            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     bad = has_hard_mismatch(rows)
     counts = {}
     for row in rows:
@@ -238,10 +260,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if bad else 0
 
 
-_HEADER = CheckRow("case", "params", "claimed", "computed", "status")
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .families import parse_family_spec
+
     g = parse_family_spec(args.family)
     sys.stdout.write(write_dot(g) if args.dot else write_edge_list(g))
     return 0

@@ -6,10 +6,10 @@ here are pure functions over immutable inputs and safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
+from ._record import Record
 from .errors import InvalidColoringError, InvalidParameterError
 from .graph import Edge, Graph
 
@@ -25,20 +25,21 @@ class RuleMode(Enum):
     UNRESTRICTED = "unrestricted"
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """Total assignment of colors 1..k to vertices 0..n-1."""
 
+    __slots__ = _fields = ("assignment", "k")
     assignment: tuple[int, ...]
     k: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-        if not isinstance(self.k, int) or self.k < 1:
-            raise InvalidParameterError(f"color count must be a positive integer, got {self.k!r}")
-        for i, c in enumerate(self.assignment):
-            if not isinstance(c, int) or not 1 <= c <= self.k:
-                raise InvalidColoringError(f"vertex {i} has color {c!r}, expected 1..{self.k}")
+    def __init__(self, assignment: Iterable[int], k: int) -> None:
+        assignment = tuple(assignment)
+        if not isinstance(k, int) or k < 1:
+            raise InvalidParameterError(f"color count must be a positive integer, got {k!r}")
+        for i, c in enumerate(assignment):
+            if not isinstance(c, int) or not 1 <= c <= k:
+                raise InvalidColoringError(f"vertex {i} has color {c!r}, expected 1..{k}")
+        self._set(assignment=assignment, k=k)
 
     @property
     def n(self) -> int:

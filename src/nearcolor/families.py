@@ -14,10 +14,10 @@ see the README for the full reconciliation table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial, perm
 from typing import Callable, NamedTuple
 
+from ._record import Record
 from .coloring import RuleMode
 from .errors import InvalidParameterError, SizeLimitError, _excerpt
 from .graph import Graph, complete, corona, cycle, disjoint_union, helm, join, path, wheel
@@ -25,8 +25,7 @@ from .io import MAX_VERTICES
 from .solver import _class_sizes, chromatic_number, solve
 
 
-@dataclass(frozen=True)
-class FamilyResult:
+class FamilyResult(Record):
     """Closed-form claim for a named family: minimum bad edges and, when
     claimed, the number of optimal colorings.
 
@@ -35,19 +34,33 @@ class FamilyResult:
     them.
     """
 
+    __slots__ = _fields = ("family", "n", "k", "min_bad", "count", "min_bad_disputed", "count_disputed")
     family: str
     n: int
     k: int
     min_bad: int
     count: int | None
-    min_bad_disputed: bool = False
-    count_disputed: bool = False
+    min_bad_disputed: bool
+    count_disputed: bool
 
-    def __post_init__(self) -> None:
-        if self.min_bad < 0:
+    def __init__(
+        self,
+        family: str,
+        n: int,
+        k: int,
+        min_bad: int,
+        count: int | None,
+        min_bad_disputed: bool = False,
+        count_disputed: bool = False,
+    ) -> None:
+        if min_bad < 0:
             raise InvalidParameterError("minimum bad-edge count cannot be negative")
-        if self.count is not None and self.count < 1:
+        if count is not None and count < 1:
             raise InvalidParameterError("coloring count must be at least 1 when present")
+        self._set(
+            family=family, n=n, k=k, min_bad=min_bad, count=count,
+            min_bad_disputed=min_bad_disputed, count_disputed=count_disputed,
+        )
 
 
 def path_formula(n: int) -> FamilyResult:
@@ -238,8 +251,7 @@ def corona_chromatic(chi_g: int, chi_h: int) -> int:
 # Operation bounds and reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Bound (or formula value) versus exact optimum for a graph operation.
 
     ``slack = bound - exact``; for the inequality operations (union, join)

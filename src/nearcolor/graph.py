@@ -14,9 +14,9 @@ comes from the bad-edge search kernel in :mod:`nearcolor.solver`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
+from ._record import Record
 from .errors import InvalidParameterError, _excerpt
 
 Edge = tuple[int, int]
@@ -27,44 +27,46 @@ def _normalized(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph with a normalized, lexicographically sorted edge tuple.
 
     Invariants enforced at construction: no self-loops, no duplicate edges,
-    all endpoints in range.  Adjacency sets are derived once and shared.
+    all endpoints in range.  Adjacency sets are derived once and shared;
+    equality, hashing and ``repr`` use ``n`` and ``edges`` only.
     """
 
+    __slots__ = ("n", "edges", "adj")
+    _fields = ("n", "edges")
     n: int
-    edges: tuple[Edge, ...] = ()
-    adj: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    edges: tuple[Edge, ...]
+    adj: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
-            raise InvalidParameterError(f"vertex count must be a non-negative integer, got {self.n!r}")
+    def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
+        if not isinstance(n, int) or n < 0:
+            raise InvalidParameterError(f"vertex count must be a non-negative integer, got {n!r}")
         seen: set[Edge] = set()
-        for e in self.edges:
+        for e in edges:
             u, v = e
             if not (isinstance(u, int) and isinstance(v, int)):
                 raise InvalidParameterError(f"edge endpoints must be integers, got {e!r}")
             if u == v:
                 raise InvalidParameterError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InvalidParameterError(f"edge {e!r} out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidParameterError(f"edge {e!r} out of range for n={n}")
             e = _normalized(u, v)
             if e in seen:
                 raise InvalidParameterError(f"duplicate edge {e!r}")
             seen.add(e)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        edges = tuple(sorted(seen))
         # Only vertices with edges get a set of their own; isolated ones share one.
         neighbors: dict[int, set[int]] = {}
-        for u, v in self.edges:
+        for u, v in edges:
             neighbors.setdefault(u, set()).add(v)
             neighbors.setdefault(v, set()).add(u)
-        adj = [_NO_NEIGHBORS] * self.n
+        adj = [_NO_NEIGHBORS] * n
         for v, s in neighbors.items():
             adj[v] = frozenset(s)
-        object.__setattr__(self, "adj", tuple(adj))
+        self._set(n=n, edges=edges, adj=tuple(adj))
 
     @property
     def m(self) -> int:

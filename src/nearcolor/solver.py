@@ -88,9 +88,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
+from ._record import Record
 from .coloring import Coloring, RuleMode, bad_edges
 from .errors import InfeasibleError, InvalidParameterError, SizeLimitError, _excerpt
 from .graph import Edge, Graph
@@ -103,20 +103,20 @@ DEFAULT_ENUM_CAP = 10**8
 GREEDY_MAX_ROUNDS = 20
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record):
     """Search knobs; defaults match the documented limits."""
 
-    work_budget: int = DEFAULT_WORK_BUDGET
-    count_optimal: bool = False
+    __slots__ = _fields = ("work_budget", "count_optimal")
+    work_budget: int
+    count_optimal: bool
 
-    def __post_init__(self) -> None:
-        if self.work_budget < 1:
-            raise InvalidParameterError(f"work budget --cap must be positive, got {self.work_budget}")
+    def __init__(self, work_budget: int = DEFAULT_WORK_BUDGET, count_optimal: bool = False) -> None:
+        if work_budget < 1:
+            raise InvalidParameterError(f"work budget --cap must be positive, got {work_budget}")
+        self._set(work_budget=work_budget, count_optimal=count_optimal)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of a bad-edge minimization.
 
     ``witness`` achieves ``min_bad`` and is the lexicographically smallest
@@ -595,8 +595,7 @@ def _cover(bad: tuple[Edge, ...], budget: int, spent: int) -> tuple[tuple[int, .
     return tuple(verts), spent  # pragma: no cover - all endpoints always cover
 
 
-@dataclass(frozen=True)
-class KChromaticSubgraph:
+class KChromaticSubgraph(NamedTuple):
     """Induced subgraph left after deleting a minimum cover of witness bad edges."""
 
     subgraph: Graph

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import RuleMode
 from .errors import InvalidParameterError
@@ -35,8 +35,7 @@ STATUS_REPORTED = "reported"
 STATUS_INFEASIBLE = "oracle-infeasible"
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     case: str
     params: str
     claimed: str

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from nearcolor.cli import main, parse_family_spec
-from nearcolor.families import FAMILIES
+from nearcolor.cli import _OPERATIONS, main, parse_family_spec
+from nearcolor.families import FAMILIES, OPERATIONS
 from nearcolor import InvalidParameterError, complete, wheel
 
 
@@ -145,6 +145,29 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--family", spec)
         assert (code, len(err.encode()) < 300) == (2, True), err[:400]
         assert "..." in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--family", "path:3", "--k"],
+    ["count", "--family", "path:3", "--k", "2", "--cap"],
+    ["poly", "--family", "cycle:5", "--bad", "1", "--lambda"],
+    ["poly", "--family", "cycle:5", "--lambda", "3", "--bad"],
+    ["verify", "--seed"],
+])
+def test_integer_flag_errors_echo_an_excerpt(capsys, argv):
+    # 5,000 digits pass CPython's int/str limit, so int() refuses the token.
+    for token, tail in (("9" * 5000, "'999999999999999999999999999...999999999999999999999999999'"),
+                        ("abc", "'abc'")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, token])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.endswith(f" error: argument {argv[-1]}: invalid int value: {tail}\n")
+        assert len(err.encode()) < 400
+
+
+def test_bounds_op_choices_are_the_operation_table():
+    assert _OPERATIONS == tuple(OPERATIONS)
 
 
 def test_missing_file_exits_2(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -30,7 +31,27 @@ from nearcolor import (
     union_bound,
     wheel_formula,
 )
+from nearcolor.errors import _excerpt
+from nearcolor.families import parse_family_spec
 from nearcolor.verify import count_by_bad_edges, random_connected_graph
+
+
+def test_long_integers_are_excerpted_under_the_int_str_digit_limit():
+    # Library callers keep CPython's limit on int/str conversion (4300 digits
+    # by default); a complete:<3,000 digits> spec has a 6,000-digit edge count.
+    values = [0, -7, True, 10**59, -(10**58), 10**60, -(10**59), 3**5000, -(7**9000)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        texts = [str(v) for v in values]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert [_excerpt(v) for v in values] == [t if len(t) <= 60 else f"{t[:28]}...{t[-28:]}" for t in texts]
+    with pytest.raises(InvalidParameterError, match="over the limit") as exc:
+        parse_family_spec("complete:" + "9" * 3000)
+    assert len(str(exc.value)) < 300
 
 
 def test_path_formula():

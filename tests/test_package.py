@@ -1,6 +1,30 @@
-"""The package's public names."""
+"""The package's public names, its value records and what a command loads."""
+
+import json
+import os
+import pickle
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import nearcolor
+from nearcolor import (
+    BadEdges,
+    Coloring,
+    FamilyResult,
+    Graph,
+    InvalidColoringError,
+    InvalidParameterError,
+    RuleMode,
+    SolverConfig,
+    cycle,
+    path_formula,
+    solve,
+)
+from nearcolor.cli import main
 
 
 def test_every_export_resolves_and_star_import_works():
@@ -10,3 +34,124 @@ def test_every_export_resolves_and_star_import_works():
     namespace: dict = {}
     exec("from nearcolor import *", namespace)
     assert set(nearcolor.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        nearcolor.no_such_name
+
+
+RECORDS = [
+    (Graph(3, [(2, 1), (1, 0)]), Graph(3, ((0, 1), (1, 2))), Graph(3, ((0, 1),)),
+     ("n", "edges"), "Graph(n=3, edges=((0, 1), (1, 2)))"),
+    (Coloring([1, 2, 1], 2), Coloring((1, 2, 1), 2), Coloring((1, 2, 2), 2),
+     ("assignment", "k"), "Coloring(assignment=(1, 2, 1), k=2)"),
+    (SolverConfig(), SolverConfig(2 * 10**6, False), SolverConfig(count_optimal=True),
+     ("work_budget", "count_optimal"), "SolverConfig(work_budget=2000000, count_optimal=False)"),
+    (path_formula(3), FamilyResult("path", 3, 1, 2, 1), FamilyResult("path", 3, 1, 2, 1, True),
+     ("family", "n", "k", "min_bad", "count", "min_bad_disputed", "count_disputed"),
+     "FamilyResult(family='path', n=3, k=1, min_bad=2, count=1, min_bad_disputed=False, count_disputed=False)"),
+]
+
+
+@pytest.mark.parametrize("record, same, other, fields, text", RECORDS)
+def test_records_compare_hash_show_and_refuse_assignment(record, same, other, fields, text):
+    assert record == same and hash(record) == hash(same)
+    assert record != other
+    assert record != tuple(getattr(record, name) for name in fields)
+    assert repr(record) == text
+    assert pickle.loads(pickle.dumps(record)) == record
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == getattr(same, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_graph_equality_ignores_its_adjacency():
+    g = Graph(3, ((0, 1),))
+    assert g.adj == (frozenset({1}), frozenset({0}), frozenset())
+    assert "adj" not in repr(g) and {g, Graph(3, [(1, 0)])} == {g}
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Graph(-1), InvalidParameterError, "vertex count must be a non-negative integer, got -1"),
+    (lambda: Graph(2, [(0, "a")]), InvalidParameterError, "edge endpoints must be integers, got (0, 'a')"),
+    (lambda: Graph(2, [(0, 0)]), InvalidParameterError, "self-loop at vertex 0"),
+    (lambda: Graph(2, [(0, 5)]), InvalidParameterError, "edge (0, 5) out of range for n=2"),
+    (lambda: Graph(2, [(0, 1), (1, 0)]), InvalidParameterError, "duplicate edge (0, 1)"),
+    (lambda: Coloring([1], 0), InvalidParameterError, "color count must be a positive integer, got 0"),
+    (lambda: Coloring([1, 3], 2), InvalidColoringError, "vertex 1 has color 3, expected 1..2"),
+    (lambda: SolverConfig(0), InvalidParameterError, "work budget --cap must be positive, got 0"),
+    (lambda: FamilyResult("path", 2, 1, -1, 1), InvalidParameterError,
+     "minimum bad-edge count cannot be negative"),
+    (lambda: FamilyResult("path", 2, 1, 1, 0), InvalidParameterError,
+     "coloring count must be at least 1 when present"),
+])
+def test_records_validate_at_construction(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_result_records_are_named_tuples():
+    result = solve(cycle(5), 2, RuleMode.ONE_CLASS)
+    min_bad, witness, rule, surjective, count, exact = result
+    assert result == (1, witness, RuleMode.ONE_CLASS, True, None, True)
+    assert (min_bad, rule, surjective, count, exact) == (1, RuleMode.ONE_CLASS, True, None, True)
+    assert result._asdict()["witness"] == witness
+    assert BadEdges(1, ((0, 1),)) == (1, ((0, 1),))
+
+
+def test_json_reports_keep_their_field_order(capsys):
+    argv = ["bounds", "--op", "join", "--left", "path:2", "--right", "cycle:3", "--k", "2", "--json"]
+    assert main(argv) == 0
+    assert list(json.loads(capsys.readouterr().out)) == [
+        "op", "left", "right", "k", "t", "left_min_bad", "right_min_bad",
+        "cross_term", "bound", "exact", "slack",
+    ]
+    assert main(["verify", "--suite", "polys", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert {tuple(row) for row in rows} == {("case", "params", "claimed", "computed", "status")}
+
+
+# Runs `python -m nearcolor ARGS` and reports, on stderr, the exit code, the
+# package modules loaded and whether `dataclasses` was loaded before and after.
+PROBE = """
+import json, runpy, sys
+before = "dataclasses" in sys.modules
+sys.argv = ["nearcolor", *sys.argv[1:]]
+try:
+    runpy.run_module("nearcolor", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m for m in sys.modules if m.startswith("nearcolor."))
+print(json.dumps([code, loaded, before, "dataclasses" in sys.modules]), file=sys.stderr)
+"""
+
+
+def probe(tmp_path, *argv):
+    src = str(Path(nearcolor.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, loaded, before, after = json.loads(proc.stderr.splitlines()[-1])
+    return code, set(loaded), before, after
+
+
+def test_solve_on_a_file_loads_neither_families_nor_verify(tmp_path):
+    (tmp_path / "g.el").write_text("3 2\n0 1\n1 2\n")
+    code, loaded, before, after = probe(tmp_path, "solve", "--input", "g.el", "--k", "2")
+    assert code == 0
+    assert not loaded & {"nearcolor.families", "nearcolor.verify"}
+    assert after == before  # no module of the package imports dataclasses
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (["gen", "--family", "join(path:2,cycle:3)"], "nearcolor.families"),
+    (["bounds", "--op", "union", "--left", "path:2", "--right", "cycle:3", "--k", "2"], "nearcolor.families"),
+    (["verify", "--suite", "polys"], "nearcolor.verify"),
+])
+def test_commands_load_the_modules_they_use(tmp_path, argv, needs):
+    code, loaded, _, _ = probe(tmp_path, *argv)
+    assert code == 0 and needs in loaded
