@@ -28,7 +28,8 @@ from .solver import DEFAULT_WORK_BUDGET, SolverConfig, greedy_heuristic, solve
 # ``families`` (family specs, ``--op``) and ``verify`` are imported only by
 # the commands that use them: without a bytecode cache every module a run
 # imports is compiled again, so each one adds to start-up.  Hence the keys
-# of ``families.OPERATIONS`` are written out here, in order.
+# of ``families.OPERATIONS``, the fields of ``verify.CheckRow`` and the
+# ``--suite`` names (``verify.SUITES``) are written out here, in order.
 _OPERATIONS = ("union", "join", "corona")
 _HEADER = ("case", "params", "claimed", "computed", "status")
 
@@ -240,9 +241,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import has_hard_mismatch, run_suites
+    from .verify import SUITES, has_hard_mismatch, run_suites
 
-    names = ["families", "polys", "bounds"] if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     print(f"seed: {args.seed}")
     rows = run_suites(names, seed=args.seed)
     if args.json:

@@ -10,7 +10,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 from ._record import Record
-from .errors import InvalidColoringError, InvalidParameterError
+from .errors import InvalidColoringError, InvalidParameterError, _excerpt
 from .graph import Edge, Graph
 
 
@@ -35,10 +35,10 @@ class Coloring(Record):
     def __init__(self, assignment: Iterable[int], k: int) -> None:
         assignment = tuple(assignment)
         if not isinstance(k, int) or k < 1:
-            raise InvalidParameterError(f"color count must be a positive integer, got {k!r}")
+            raise InvalidParameterError(f"color count must be a positive integer, got {_excerpt(k)}")
         for i, c in enumerate(assignment):
             if not isinstance(c, int) or not 1 <= c <= k:
-                raise InvalidColoringError(f"vertex {i} has color {c!r}, expected 1..{k}")
+                raise InvalidColoringError(f"vertex {i} has color {_excerpt(c)}, expected 1..{_excerpt(k)}")
         self._set(assignment=assignment, k=k)
 
     @property

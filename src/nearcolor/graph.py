@@ -43,16 +43,20 @@ class Graph(Record):
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if not isinstance(n, int) or n < 0:
-            raise InvalidParameterError(f"vertex count must be a non-negative integer, got {n!r}")
+            raise InvalidParameterError(f"vertex count must be a non-negative integer, got {_excerpt(n)}")
         seen: set[Edge] = set()
         for e in edges:
             u, v = e
             if not (isinstance(u, int) and isinstance(v, int)):
-                raise InvalidParameterError(f"edge endpoints must be integers, got {e!r}")
+                raise InvalidParameterError(
+                    f"edge endpoints must be integers, got ({_excerpt(u)}, {_excerpt(v)})"
+                )
             if u == v:
-                raise InvalidParameterError(f"self-loop at vertex {u}")
+                raise InvalidParameterError(f"self-loop at vertex {_excerpt(u)}")
             if not (0 <= u < n and 0 <= v < n):
-                raise InvalidParameterError(f"edge {e!r} out of range for n={n}")
+                raise InvalidParameterError(
+                    f"edge ({_excerpt(u)}, {_excerpt(v)}) out of range for n={_excerpt(n)}"
+                )
             e = _normalized(u, v)
             if e in seen:
                 raise InvalidParameterError(f"duplicate edge {e!r}")
@@ -111,7 +115,7 @@ class Graph(Record):
         kept = tuple(sorted(set(keep)))
         for v in kept:
             if not 0 <= v < self.n:
-                raise InvalidParameterError(f"vertex {v} out of range")
+                raise InvalidParameterError(f"vertex {_excerpt(v)} out of range")
         index = {v: i for i, v in enumerate(kept)}
         edges = tuple(
             (index[u], index[v]) for u, v in self.edges if u in index and v in index

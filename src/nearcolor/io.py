@@ -18,16 +18,6 @@ from .graph import Edge, Graph
 MAX_VERTICES = 10**6
 
 
-def _significant_lines(text: str, comment_prefix: str) -> list[tuple[int, str]]:
-    out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith(comment_prefix):
-            continue
-        out.append((line_no, stripped))
-    return out
-
-
 def _parse_int_pair(parts: list[str], line_no: int, what: str) -> tuple[int, int]:
     # A token longer than CPython's default int/str limit (4300 digits) is
     # refused unread, as that limit refuses it: the CLI lifts the limit, and
@@ -40,24 +30,42 @@ def _parse_int_pair(parts: list[str], line_no: int, what: str) -> tuple[int, int
     raise GraphFormatError(f"expected two integers for {what}, got {_excerpt(' '.join(parts))}", line_no)
 
 
-def _check_counts(n: int, m: int, line_no: int) -> None:
+def _parse(text: str, dimacs: bool) -> Graph:
+    """Parse the format ``dimacs`` selects.  Faults are reported in one order:
+    the header, its counts, the number of edge lines, then each edge line in
+    file order.  Error messages name the endpoints as the file wrote them."""
+    if dimacs:
+        comment, header_what, edge_what = "c", "header 'p edge n m'", "edge 'e u v'"
+    else:
+        comment, header_what, edge_what = "#", "header 'n m'", "edge 'u v'"
+    numbered = enumerate(text.splitlines(), start=1)
+    lines = [(no, line) for no, raw in numbered if (line := raw.strip()) and not line.startswith(comment)]
+    if not lines:
+        raise GraphFormatError("empty graph file")
+    (header_no, header), body = lines[0], lines[1:]
+    parts = header.split()
+    if dimacs:
+        if len(parts) != 4 or parts[0] != "p" or parts[1] != "edge":
+            raise GraphFormatError(f"expected header 'p edge n m', got {_excerpt(header)}", header_no)
+        parts = parts[2:]
+    n, m = _parse_int_pair(parts, header_no, header_what)
     if n < 0 or m < 0:
-        raise GraphFormatError("vertex and edge counts must be non-negative", line_no)
+        raise GraphFormatError("vertex and edge counts must be non-negative", header_no)
     if n > MAX_VERTICES:
-        raise GraphFormatError(f"vertex count {_excerpt(n)} exceeds the limit of {MAX_VERTICES}", line_no)
-
-
-def _collect_edges(
-    pairs: list[tuple[int, int, int]], n: int, one_based: bool
-) -> list[Edge]:
-    """Validate (line_no, u, v) pairs and return 0-based normalized edges.
-
-    Error messages name the endpoints as the file wrote them.
-    """
-    lo, hi = (1, n) if one_based else (0, n - 1)
-    seen: set[Edge] = set()
-    edges: list[Edge] = []
-    for line_no, u, v in pairs:
+        raise GraphFormatError(f"vertex count {_excerpt(n)} exceeds the limit of {MAX_VERTICES}", header_no)
+    if len(body) != m:
+        raise GraphFormatError(
+            f"header declares {_excerpt(m)} edges but file contains {len(body)} edge lines", header_no
+        )
+    lo, hi = (1, n) if dimacs else (0, n - 1)
+    edges: set[Edge] = set()
+    for line_no, line in body:
+        parts = line.split()
+        if dimacs:
+            if parts[0] != "e":
+                raise GraphFormatError(f"unexpected line type {_excerpt(parts[0])}", line_no)
+            parts = parts[1:]
+        u, v = _parse_int_pair(parts, line_no, edge_what)
         if not (lo <= u <= hi and lo <= v <= hi):
             raise GraphFormatError(
                 f"endpoint out of range {lo}..{hi} in edge {_excerpt(u)} {_excerpt(v)}", line_no
@@ -65,70 +73,25 @@ def _collect_edges(
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}", line_no)
         e = (min(u, v) - lo, max(u, v) - lo)
-        if e in seen:
+        if e in edges:
             raise GraphFormatError(f"duplicate edge {u} {v}", line_no)
-        seen.add(e)
-        edges.append(e)
-    return edges
+        edges.add(e)
+    return Graph(n, tuple(edges))
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the canonical ``n m`` / ``u v`` edge-list format."""
-    lines = _significant_lines(text, "#")
-    if not lines:
-        raise GraphFormatError("empty graph file")
-    header_no, header = lines[0]
-    n, m = _parse_int_pair(header.split(), header_no, "header 'n m'")
-    _check_counts(n, m, header_no)
-    body = lines[1:]
-    if len(body) != m:
-        raise GraphFormatError(
-            f"header declares {_excerpt(m)} edges but file contains {len(body)} edge lines",
-            header_no,
-        )
-    pairs = []
-    for line_no, line in body:
-        u, v = _parse_int_pair(line.split(), line_no, "edge 'u v'")
-        pairs.append((line_no, u, v))
-    return Graph(n, tuple(_collect_edges(pairs, n, one_based=False)))
+    return _parse(text, dimacs=False)
 
 
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS coloring format (``p edge n m``, ``e u v`` 1-based)."""
-    lines = _significant_lines(text, "c")
-    if not lines:
-        raise GraphFormatError("empty graph file")
-    header_no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "p" or parts[1] != "edge":
-        raise GraphFormatError(f"expected header 'p edge n m', got {_excerpt(header)}", header_no)
-    n, m = _parse_int_pair(parts[2:], header_no, "header 'p edge n m'")
-    _check_counts(n, m, header_no)
-    pairs = []
-    for line_no, line in lines[1:]:
-        parts = line.split()
-        if parts[0] != "e":
-            raise GraphFormatError(f"unexpected line type {_excerpt(parts[0])}", line_no)
-        u, v = _parse_int_pair(parts[1:], line_no, "edge 'e u v'")
-        pairs.append((line_no, u, v))
-    if len(pairs) != m:
-        raise GraphFormatError(
-            f"header declares {_excerpt(m)} edges but file contains {len(pairs)} edge lines",
-            header_no,
-        )
-    return Graph(n, tuple(_collect_edges(pairs, n, one_based=True)))
+    return _parse(text, dimacs=True)
 
 
 def parse_graph(text: str) -> Graph:
     """Parse either supported format, detected from the first non-empty line."""
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped[0] in "pc":
-            return parse_dimacs(text)
-        return parse_edge_list(text)
-    raise GraphFormatError("empty graph file")
+    return _parse(text, dimacs=text.lstrip()[:1] in ("p", "c"))
 
 
 def load_graph(path: str) -> Graph:

@@ -112,7 +112,7 @@ class SolverConfig(Record):
 
     def __init__(self, work_budget: int = DEFAULT_WORK_BUDGET, count_optimal: bool = False) -> None:
         if work_budget < 1:
-            raise InvalidParameterError(f"work budget --cap must be positive, got {work_budget}")
+            raise InvalidParameterError(f"work budget --cap must be positive, got {_excerpt(work_budget)}")
         self._set(work_budget=work_budget, count_optimal=count_optimal)
 
 
@@ -159,7 +159,7 @@ def enumerate_oracle(
     rule = RuleMode(rule)
     _check_instance(g, k, surjective)
     if k**g.n > cap:
-        raise SizeLimitError(f"enumerating {k}**{g.n} assignments exceeds cap {cap}")
+        raise SizeLimitError(f"enumerating {_excerpt(k)}**{g.n} assignments exceeds cap {_excerpt(cap)}")
     edges = g.edges
     one_class = rule is RuleMode.ONE_CLASS
     best: int | None = None
@@ -623,11 +623,11 @@ def k_chromatic_subgraph(
     """
     rule = RuleMode(rule)
     if not 1 <= k < g.n:
-        raise InvalidParameterError(f"k must satisfy 1 <= k < n ({g.n}), got {k}")
+        raise InvalidParameterError(f"k must satisfy 1 <= k < n ({g.n}), got {_excerpt(k)}")
     result, spent = _solve(g, k, rule, True, DEFAULT_WORK_BUDGET)
     # For k <= n, some surjective k-coloring is proper exactly when k >= chi.
     if result.min_bad == 0:
-        raise InvalidParameterError(f"k must stay below the chromatic number, got {k}")
+        raise InvalidParameterError(f"k must stay below the chromatic number, got {_excerpt(k)}")
     cover, spent = _cover(bad_edges(g, result.witness).edges, DEFAULT_WORK_BUDGET, spent)
     removed = set(cover)
     sub, kept = g.induced_subgraph(v for v in range(g.n) if v not in removed)

@@ -15,7 +15,7 @@ import random
 from typing import NamedTuple
 
 from .coloring import RuleMode
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _excerpt
 from .families import (
     FAMILIES,
     complete_defect_polynomial,
@@ -46,7 +46,7 @@ class CheckRow(NamedTuple):
 def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 0.3) -> Graph:
     """Random connected graph: a random attachment tree plus Bernoulli extras."""
     if n < 1:
-        raise InvalidParameterError(f"need at least 1 vertex, got {n}")
+        raise InvalidParameterError(f"need at least 1 vertex, got {_excerpt(n)}")
     edges: set[tuple[int, int]] = set()
     for v in range(1, n):
         u = rng.randrange(v)
@@ -92,31 +92,24 @@ def count_single_big_class_assignments(n: int, k: int, colors: int) -> int:
     return total
 
 
+def _row(case: str, params: str, claimed: str, computed: str, ok: bool, known: bool = False) -> CheckRow:
+    """A check row: a match when ``ok``, else a mismatch, known when the
+    claim is a documented disputed one."""
+    status = STATUS_MATCH if ok else STATUS_KNOWN_MISMATCH if known else STATUS_MISMATCH
+    return CheckRow(case, params, claimed, computed, status)
+
+
 def _family_row(label: str, name: str, n: int, k: int, check_count: bool = True) -> CheckRow:
     claim = family_claim(name, n, k)
     want_count = check_count and claim.count is not None
     res = solve(FAMILIES[name].build(n), k, RuleMode.ONE_CLASS, True, SolverConfig(count_optimal=want_count))
-    min_bad, count = res.min_bad, res.optimal_count
-    mismatch = False
-    known = False
-    if claim.min_bad != min_bad:
-        mismatch = True
-        known = known or claim.min_bad_disputed
-    claimed = f"min={claim.min_bad}"
-    computed = f"min={min_bad}"
+    claimed, computed = f"min={claim.min_bad}", f"min={res.min_bad}"
+    known = claim.min_bad != res.min_bad and claim.min_bad_disputed
     if want_count:
         claimed += f" count={claim.count}"
-        computed += f" count={count}"
-        if claim.count != count:
-            mismatch = True
-            known = known or claim.count_disputed
-    if not mismatch:
-        status = STATUS_MATCH
-    elif known:
-        status = STATUS_KNOWN_MISMATCH
-    else:
-        status = STATUS_MISMATCH
-    return CheckRow(label, f"n={claim.n} k={claim.k}", claimed, computed, status)
+        computed += f" count={res.optimal_count}"
+        known = known or (claim.count != res.optimal_count and claim.count_disputed)
+    return _row(label, f"n={claim.n} k={claim.k}", claimed, computed, claimed == computed, known)
 
 
 def family_suite() -> list[CheckRow]:
@@ -139,43 +132,23 @@ def poly_suite() -> list[CheckRow]:
             hist = count_by_bad_edges(cycle(n), colors)
             formula = [cycle_defect_polynomial(n, j, colors) for j in range(n + 1)]
             ok = formula == hist and sum(formula) == colors**n
-            rows.append(
-                CheckRow(
-                    "cycle-defect",
-                    f"n={n} colors={colors}",
-                    f"counts={formula}",
-                    f"counts={hist}",
-                    STATUS_MATCH if ok else STATUS_MISMATCH,
-                )
-            )
+            params = f"n={n} colors={colors}"
+            rows.append(_row("cycle-defect", params, f"counts={formula}", f"counts={hist}", ok))
     for n in (3, 4, 5):
         for k in range(2, n):
             for colors in (k, k + 1):
                 formula = complete_defect_polynomial(n, k, colors)
                 counted = count_single_big_class_assignments(n, k, colors)
-                rows.append(
-                    CheckRow(
-                        "complete-defect",
-                        f"n={n} k={k} colors={colors}",
-                        str(formula),
-                        str(counted),
-                        STATUS_MATCH if formula == counted else STATUS_MISMATCH,
-                    )
-                )
+                params = f"n={n} k={k} colors={colors}"
+                rows.append(_row("complete-defect", params, str(formula), str(counted), formula == counted))
     return rows
 
 
 def _slack_row(case: str, params: str, report) -> CheckRow:
     if report.exact is None:
         return CheckRow(case, params, "slack>=0", "exact not computed", STATUS_INFEASIBLE)
-    ok = report.slack is not None and report.slack >= 0
-    return CheckRow(
-        case,
-        params,
-        "slack>=0",
-        f"bound={report.bound} exact={report.exact} slack={report.slack}",
-        STATUS_MATCH if ok else STATUS_MISMATCH,
-    )
+    computed = f"bound={report.bound} exact={report.exact} slack={report.slack}"
+    return _row(case, params, "slack>=0", computed, report.slack >= 0)
 
 
 def bounds_suite(seed: int = 0, pairs: int = 20) -> list[CheckRow]:
@@ -184,41 +157,17 @@ def bounds_suite(seed: int = 0, pairs: int = 20) -> list[CheckRow]:
     k3 = complete(3)
 
     report = join_bound(k3, k3, 2)
-    ok = report.bound == 6 and report.exact == 6
-    rows.append(
-        CheckRow(
-            "join",
-            "3-clique + 3-clique, k=2",
-            "bound=6 exact=6",
-            f"bound={report.bound} exact={report.exact}",
-            STATUS_MATCH if ok else STATUS_MISMATCH,
-        )
-    )
+    claimed, computed = "bound=6 exact=6", f"bound={report.bound} exact={report.exact}"
+    rows.append(_row("join", "3-clique + 3-clique, k=2", claimed, computed, claimed == computed))
     report = join_bound(k3, k3, 5, relaxed=True)
     rows.append(_slack_row("join", "3-clique + 3-clique, k=5 relaxed", report))
 
     wheel_exact = solve(join(complete(1), cycle(4))[0], 2, RuleMode.UNRESTRICTED).min_bad
-    rows.append(
-        CheckRow(
-            "join",
-            "hub + 4-cycle, k=2",
-            "exact=2",
-            f"exact={wheel_exact}",
-            STATUS_MATCH if wheel_exact == 2 else STATUS_MISMATCH,
-        )
-    )
+    rows.append(_row("join", "hub + 4-cycle, k=2", "exact=2", f"exact={wheel_exact}", wheel_exact == 2))
 
     report = union_bound(k3, k3, 2)
-    ok = report.bound == 2 and report.exact == 2
-    rows.append(
-        CheckRow(
-            "union",
-            "3-clique | 3-clique, k=2",
-            "bound=2 exact=2",
-            f"bound={report.bound} exact={report.exact}",
-            STATUS_MATCH if ok else STATUS_MISMATCH,
-        )
-    )
+    claimed, computed = "bound=2 exact=2", f"bound={report.bound} exact={report.exact}"
+    rows.append(_row("union", "3-clique | 3-clique, k=2", claimed, computed, claimed == computed))
 
     rng = random.Random(seed)
     for i in range(pairs):

@@ -1,5 +1,6 @@
 """End-to-end command-line checks."""
 
+import argparse
 import json
 import sys
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from nearcolor.cli import _OPERATIONS, main, parse_family_spec
+from nearcolor.cli import _HEADER, _OPERATIONS, build_parser, main, parse_family_spec
 from nearcolor.families import FAMILIES, OPERATIONS
+from nearcolor.verify import SUITES, CheckRow
 from nearcolor import InvalidParameterError, complete, wheel
 
 
@@ -166,8 +168,23 @@ def test_integer_flag_errors_echo_an_excerpt(capsys, argv):
         assert len(err.encode()) < 400
 
 
+def test_a_huge_negative_cap_echoes_an_excerpt(capsys):
+    # 4,000 digits are within the int/str digit limit, so argparse takes the
+    # token; the budget check rejects it while main has the limit lifted.
+    code, _, err = run(capsys, "solve", "--family", "path:3", "--k", "1", "--cap=-" + "9" * 4000)
+    assert code == 2
+    assert err == "error: work budget --cap must be positive, got -999999999999999999999999999...9999999999999999999999999999\n"
+
+
 def test_bounds_op_choices_are_the_operation_table():
     assert _OPERATIONS == tuple(OPERATIONS)
+
+
+def test_verify_names_are_the_suite_table_and_the_row_fields():
+    assert _HEADER == CheckRow._fields
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    [suite] = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+    assert tuple(suite.choices) == (*SUITES, "all")
 
 
 def test_missing_file_exits_2(capsys):

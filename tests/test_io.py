@@ -155,3 +155,89 @@ def test_dot_output_carries_color_attributes():
     with pytest.raises(InvalidColoringError):
         write_dot(g, Coloring((1,), 1))
 
+
+
+# One fault per file, in each format where it can occur: (parser, text, line, message).
+FAULTS = [
+    (parse_edge_list, "x 1\n", 1, "expected two integers for header 'n m', got 'x 1'"),
+    (parse_edge_list, "3 1\n0 x\n", 2, "expected two integers for edge 'u v', got '0 x'"),
+    (parse_edge_list, "3 1\n0 1.5\n", 2, "expected two integers for edge 'u v', got '0 1.5'"),
+    (parse_dimacs, "p edge x 1\ne 1 2\n", 1, "expected two integers for header 'p edge n m', got 'x 1'"),
+    (parse_dimacs, "p edge 3 1\ne 1 x\n", 2, "expected two integers for edge 'e u v', got '1 x'"),
+    (parse_edge_list, "3\n", 1, "expected two integers for header 'n m', got '3'"),
+    (parse_edge_list, "3 1 0\n0 1\n", 1, "expected two integers for header 'n m', got '3 1 0'"),
+    (parse_edge_list, "3 1\n0 1 2\n", 2, "expected two integers for edge 'u v', got '0 1 2'"),
+    (parse_dimacs, "p edge 3 1\ne 1\n", 2, "expected two integers for edge 'e u v', got '1'"),
+    (parse_dimacs, "p edge 3 1\ne 1 2 3\n", 2, "expected two integers for edge 'e u v', got '1 2 3'"),
+    (parse_edge_list, "3 1\n0 3\n", 2, "endpoint out of range 0..2 in edge 0 3"),
+    (parse_edge_list, "3 1\n-1 0\n", 2, "endpoint out of range 0..2 in edge -1 0"),
+    (parse_dimacs, "p edge 3 1\ne 0 1\n", 2, "endpoint out of range 1..3 in edge 0 1"),
+    (parse_dimacs, "p edge 3 1\ne 1 4\n", 2, "endpoint out of range 1..3 in edge 1 4"),
+    (parse_edge_list, "3 2\n0 1\n2 2\n", 3, "self-loop at vertex 2"),
+    (parse_dimacs, "p edge 3 2\ne 1 2\ne 3 3\n", 3, "self-loop at vertex 3"),
+    (parse_edge_list, "3 2\n0 1\n1 0\n", 3, "duplicate edge 1 0"),
+    (parse_dimacs, "p edge 3 2\ne 1 2\ne 2 1\n", 3, "duplicate edge 2 1"),
+    (parse_edge_list, "-1 0\n", 1, "vertex and edge counts must be non-negative"),
+    (parse_edge_list, "3 -1\n", 1, "vertex and edge counts must be non-negative"),
+    (parse_dimacs, "p edge -1 0\n", 1, "vertex and edge counts must be non-negative"),
+    (parse_dimacs, "p edge 3 -1\n", 1, "vertex and edge counts must be non-negative"),
+    (parse_edge_list, f"{MAX_VERTICES + 1} 0\n", 1, f"vertex count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}"),
+    (parse_dimacs, f"p edge {MAX_VERTICES + 1} 0\n", 1, f"vertex count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}"),
+    (parse_edge_list, "# c\n3 2\n0 1\n", 2, "header declares 2 edges but file contains 1 edge lines"),
+    (parse_edge_list, "3 0\n0 1\n", 1, "header declares 0 edges but file contains 1 edge lines"),
+    (parse_dimacs, "c c\np edge 3 2\ne 1 2\n", 2, "header declares 2 edges but file contains 1 edge lines"),
+    (parse_dimacs, "p edge 3 0\ne 1 2\n", 1, "header declares 0 edges but file contains 1 edge lines"),
+    (parse_dimacs, "p foo 3 1\ne 1 2\n", 1, "expected header 'p edge n m', got 'p foo 3 1'"),
+    (parse_dimacs, "p edge 3\n", 1, "expected header 'p edge n m', got 'p edge 3'"),
+    (parse_dimacs, "p  edge 3 1 0\ne 1 2\n", 1, "expected header 'p edge n m', got 'p  edge 3 1 0'"),
+    (parse_dimacs, "p edge 3 1\nx 2 3\n", 2, "unexpected line type 'x'"),
+    (parse_dimacs, "p edge 3 1\n# 2 3\n", 2, "unexpected line type '#'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, line_no, message", FAULTS)
+def test_each_single_fault_names_its_line_and_message(parse, text, line_no, message):
+    for variant in (text, text.replace("\n", "\r\n")):
+        for call in (parse, parse_graph):
+            with pytest.raises(GraphFormatError) as exc:
+                call(variant)
+            assert (exc.value.line_no, str(exc.value)) == (line_no, f"line {line_no}: {message}")
+
+
+def test_an_empty_file_names_no_line():
+    for text in ("", "\n  \n", "# only a comment\n"):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_edge_list(text)
+        assert (exc.value.line_no, str(exc.value)) == (None, "empty graph file")
+    with pytest.raises(GraphFormatError) as exc:
+        parse_dimacs("c only a comment\n")
+    assert (exc.value.line_no, str(exc.value)) == (None, "empty graph file")
+
+
+def test_faults_are_reported_header_counts_edge_count_then_edge_lines_in_order():
+    # Line 2 is out of range and line 3 is no integer pair; the earlier line wins.
+    with pytest.raises(GraphFormatError) as exc:
+        parse_edge_list("3 2\n0 5\n0 x\n")
+    assert str(exc.value) == "line 2: endpoint out of range 0..2 in edge 0 5"
+    # The edge count is checked before any edge line, in DIMACS as in edge lists.
+    with pytest.raises(GraphFormatError) as exc:
+        parse_dimacs("p edge 3 2\nx 1 2\n")
+    assert str(exc.value) == "line 1: header declares 2 edges but file contains 1 edge lines"
+
+
+def dimacs_text(g, order, flips):
+    lines = ["c the same graph", f"p edge {g.n} {g.m}"]
+    for i in order:
+        u, v = g.edges[i]
+        lines.append(f"e {v + 1} {u + 1}" if flips[i] else f"e {u + 1} {v + 1}")
+    return "\n".join(lines) + "\n"
+
+
+@given(st.data())
+def test_dimacs_and_edge_list_texts_of_one_graph_parse_equal(data):
+    g = data.draw(graphs())
+    order = data.draw(st.permutations(range(g.m)))
+    flips = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    from_dimacs = parse_graph(dimacs_text(g, order, flips))
+    assert from_dimacs == parse_graph(write_edge_list(g)) == g
+    assert parse_dimacs(dimacs_text(g, order, flips)) == from_dimacs

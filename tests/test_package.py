@@ -19,12 +19,17 @@ from nearcolor import (
     InvalidColoringError,
     InvalidParameterError,
     RuleMode,
+    SizeLimitError,
     SolverConfig,
     cycle,
+    enumerate_oracle,
+    k_chromatic_subgraph,
+    path,
     path_formula,
     solve,
 )
 from nearcolor.cli import main
+from nearcolor.verify import random_connected_graph
 
 
 def test_every_export_resolves_and_star_import_works():
@@ -91,6 +96,34 @@ def test_graph_equality_ignores_its_adjacency():
 def test_records_validate_at_construction(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+# The excerpts of 10**5000 and -10**5000: past CPython's 4300-digit limit on
+# int/str conversion, where str() raises ValueError.
+HUGE, HUGE_TEXT = 10**5000, "1" + "0" * 27 + "..." + "0" * 28
+NEG_TEXT = "-1" + "0" * 26 + "..." + "0" * 28
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Graph(-HUGE), InvalidParameterError, f"vertex count must be a non-negative integer, got {NEG_TEXT}"),
+    (lambda: Graph(3, ((0, HUGE),)), InvalidParameterError, f"edge (0, {HUGE_TEXT}) out of range for n=3"),
+    (lambda: Graph(3, ((HUGE, HUGE),)), InvalidParameterError, f"self-loop at vertex {HUGE_TEXT}"),
+    (lambda: Graph(3, ((0.5, -HUGE),)), InvalidParameterError,
+     f"edge endpoints must be integers, got (0.5, {NEG_TEXT})"),
+    (lambda: Coloring((1,), -HUGE), InvalidParameterError, f"color count must be a positive integer, got {NEG_TEXT}"),
+    (lambda: Coloring((HUGE,), 2), InvalidColoringError, f"vertex 0 has color {HUGE_TEXT}, expected 1..2"),
+    (lambda: SolverConfig(-HUGE), InvalidParameterError, f"work budget --cap must be positive, got {NEG_TEXT}"),
+    (lambda: k_chromatic_subgraph(cycle(5), -HUGE), InvalidParameterError,
+     f"k must satisfy 1 <= k < n (5), got {NEG_TEXT}"),
+    (lambda: cycle(5).induced_subgraph([HUGE]), InvalidParameterError, f"vertex {HUGE_TEXT} out of range"),
+    (lambda: random_connected_graph(None, -HUGE), InvalidParameterError, f"need at least 1 vertex, got {NEG_TEXT}"),
+    (lambda: enumerate_oracle(path(2), HUGE, surjective=False), SizeLimitError,
+     f"enumerating {HUGE_TEXT}**2 assignments exceeds cap 100000000"),
+])
+def test_messages_echo_an_excerpt_of_a_huge_integer(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_result_records_are_named_tuples():

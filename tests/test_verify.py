@@ -17,7 +17,10 @@ from nearcolor import (
     path,
     wheel,
 )
+from nearcolor import verify
+from nearcolor.families import FamilyResult, family_claim
 from nearcolor.verify import (
+    STATUS_INFEASIBLE,
     STATUS_KNOWN_MISMATCH,
     STATUS_MATCH,
     STATUS_MISMATCH,
@@ -155,3 +158,41 @@ def test_has_hard_mismatch_logic():
     bad = CheckRow("x", "", "1", "2", STATUS_MISMATCH)
     assert not has_hard_mismatch([ok, known])
     assert has_hard_mismatch([ok, known, bad])
+
+
+def test_a_bound_whose_exact_search_ran_out_is_oracle_infeasible(monkeypatch):
+    real = verify.union_bound
+    monkeypatch.setattr(verify, "union_bound", lambda *a, **kw: real(*a, **kw)._replace(exact=None, slack=None))
+    union = [row for row in bounds_suite(seed=0, pairs=1) if row.case == "union"]
+    assert union == [
+        CheckRow("union", "3-clique | 3-clique, k=2", "bound=2 exact=2", "bound=2 exact=None", STATUS_MISMATCH),
+        CheckRow("union", "pair 0: n=5+3, k=2", "slack>=0", "exact not computed", STATUS_INFEASIBLE),
+    ]
+    assert not has_hard_mismatch(union[1:])
+
+
+def wrong_claims(monkeypatch, **changes):
+    """The family_suite row of path:3, whose claim is altered by ``changes``."""
+    def claim(name, n, k=None):
+        value = family_claim(name, n, k)
+        if (name, n) != ("path", 3):
+            return value
+        return FamilyResult(**dict(zip(value._fields, value._key()), **changes))
+
+    monkeypatch.setattr(verify, "family_claim", claim)
+    [row] = [row for row in family_suite() if row.case == "path" and row.params == "n=3 k=1"]
+    return row
+
+
+def test_a_wrong_undisputed_family_claim_is_a_hard_mismatch(monkeypatch):
+    row = wrong_claims(monkeypatch, min_bad=1)
+    assert row == CheckRow("path", "n=3 k=1", "min=1 count=1", "min=2 count=1", STATUS_MISMATCH)
+    assert has_hard_mismatch([row])
+    assert wrong_claims(monkeypatch, count=2, min_bad_disputed=True).status == STATUS_MISMATCH
+
+
+def test_a_claim_wrong_only_in_a_disputed_field_is_a_known_mismatch(monkeypatch):
+    row = wrong_claims(monkeypatch, count=5, count_disputed=True)
+    assert row == CheckRow("path", "n=3 k=1", "min=2 count=5", "min=2 count=1", STATUS_KNOWN_MISMATCH)
+    assert wrong_claims(monkeypatch, min_bad=3, min_bad_disputed=True).status == STATUS_KNOWN_MISMATCH
+    assert wrong_claims(monkeypatch, min_bad_disputed=True, count_disputed=True).status == STATUS_MATCH
