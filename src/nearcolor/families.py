@@ -20,8 +20,7 @@ from typing import Callable, NamedTuple
 from ._record import Record
 from .coloring import RuleMode
 from .errors import InvalidParameterError, SizeLimitError, _excerpt
-from .graph import Graph, complete, corona, cycle, disjoint_union, helm, join, path, wheel
-from .io import MAX_VERTICES
+from .graph import MAX_VERTICES, Graph, complete, corona, cycle, disjoint_union, helm, join, path, wheel
 from .solver import _class_sizes, chromatic_number, solve
 
 
@@ -183,7 +182,7 @@ def parse_family_spec(spec: str) -> Graph:
     """Build the graph of ``name:n`` or ``op(name:n,name:n)`` (one nesting level).
 
     Its vertex and edge counts are worked out from the parameters first, and
-    a spec whose graph would have more than ``io.MAX_VERTICES`` of either is
+    a spec whose graph would have more than ``graph.MAX_VERTICES`` of either is
     rejected before anything is built.
     """
     spec = spec.strip()

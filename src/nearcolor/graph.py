@@ -20,6 +20,9 @@ from ._record import Record
 from .errors import InvalidParameterError, _excerpt
 
 Edge = tuple[int, int]
+# Largest vertex count a graph may have; graph files and family specs are
+# checked against it before any vertex is built.
+MAX_VERTICES = 10**6
 _NO_NEIGHBORS: frozenset[int] = frozenset()
 
 
@@ -27,12 +30,25 @@ def _normalized(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _adjacency(n: int, edges: tuple[Edge, ...]) -> tuple[frozenset[int], ...]:
+    # Only vertices with edges get a set of their own; isolated ones share one.
+    neighbors: dict[int, set[int]] = {}
+    for u, v in edges:
+        neighbors.setdefault(u, set()).add(v)
+        neighbors.setdefault(v, set()).add(u)
+    adj = [_NO_NEIGHBORS] * n
+    for v, s in neighbors.items():
+        adj[v] = frozenset(s)
+    return tuple(adj)
+
+
 class Graph(Record):
     """Simple undirected graph with a normalized, lexicographically sorted edge tuple.
 
-    Invariants enforced at construction: no self-loops, no duplicate edges,
-    all endpoints in range.  Adjacency sets are derived once and shared;
-    equality, hashing and ``repr`` use ``n`` and ``edges`` only.
+    Invariants enforced at construction: at most ``MAX_VERTICES`` vertices,
+    no self-loops, no duplicate edges, all endpoints in range.  Adjacency
+    sets are derived once and shared; equality, hashing and ``repr`` use
+    ``n`` and ``edges`` only.
     """
 
     __slots__ = ("n", "edges", "adj")
@@ -44,6 +60,8 @@ class Graph(Record):
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if not isinstance(n, int) or n < 0:
             raise InvalidParameterError(f"vertex count must be a non-negative integer, got {_excerpt(n)}")
+        if n > MAX_VERTICES:
+            raise InvalidParameterError(f"vertex count {_excerpt(n)} exceeds the limit of {MAX_VERTICES}")
         seen: set[Edge] = set()
         for e in edges:
             u, v = e
@@ -62,15 +80,15 @@ class Graph(Record):
                 raise InvalidParameterError(f"duplicate edge {e!r}")
             seen.add(e)
         edges = tuple(sorted(seen))
-        # Only vertices with edges get a set of their own; isolated ones share one.
-        neighbors: dict[int, set[int]] = {}
-        for u, v in edges:
-            neighbors.setdefault(u, set()).add(v)
-            neighbors.setdefault(v, set()).add(u)
-        adj = [_NO_NEIGHBORS] * n
-        for v, s in neighbors.items():
-            adj[v] = frozenset(s)
-        self._set(n=n, edges=edges, adj=tuple(adj))
+        self._set(n=n, edges=edges, adj=_adjacency(n, edges))
+
+    @classmethod
+    def _unchecked(cls, n: int, edges: tuple[Edge, ...]) -> "Graph":
+        """A graph on ``edges`` that the caller knows to be normalized,
+        sorted, distinct and in range, built without ``__init__``'s checks."""
+        g = object.__new__(cls)
+        g._set(n=n, edges=edges, adj=_adjacency(n, edges))
+        return g
 
     @property
     def m(self) -> int:

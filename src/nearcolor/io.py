@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from .coloring import Coloring, _check_fit
 from .errors import GraphFormatError, _excerpt
-from .graph import Edge, Graph
-
-# Largest vertex count a graph file may declare, checked before any vertex is built.
-MAX_VERTICES = 10**6
+from .graph import MAX_VERTICES, Edge, Graph
 
 
 def _parse_int_pair(parts: list[str], line_no: int, what: str) -> tuple[int, int]:

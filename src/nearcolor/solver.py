@@ -16,6 +16,8 @@ witness; ``solve`` stops it there, while ``optimal_colorings`` lets it
 visit every canonical optimum exactly once.  When ``solve`` counts, a
 count walk follows: it places the components one after another, each in
 degree order, and counts the optima without listing them (see below).
+``count_optimal`` returns no witness, so it runs no witness walk and spends
+less of its budget than a counting ``solve``.
 
 The kernel breaks color symmetry: a vertex may only take a color at most
 one above the number of colors its prefix uses, so the colors in use are
@@ -261,9 +263,10 @@ def _search(
     placements made so far by the calling entry point; past ``budget`` the
     search raises :class:`SizeLimitError`.  Returns the new ``spent``.
 
-    The DFS goes one Python frame deeper per vertex, two when it counts, so
-    the interpreter's recursion limit is raised by 2n for the duration of
-    the search.
+    The DFS goes one Python frame deeper per vertex in every walk: the cache
+    is looked up by the node above a cut, not by a frame of its own.  So the
+    interpreter's recursion limit is raised by n for the duration of the
+    search.
     """
     n = g.n
     if drop is None:
@@ -281,18 +284,21 @@ def _search(
     # above every count, so ``x not in cnt[w]`` asks whether no color holds x.
     cnt = [[n + 1] + [0] * width for _ in range(n)]
     low = [0] * n  # low[w] = min over colors c of cnt[w][c]
+    # cached[i]: the count walk caches the subtree at position i, a cut.
+    cached = [False] * (n + 1)
+    total = 0  # weighted leaves counted so far, cached subtrees included
 
     def dfs(i: int, bad: int, used: int, dirty: int, lb: int) -> None:
         # ``dirty`` is the one class allowed to hold a bad edge; 0 = none yet.
         # ``lb`` is the sum of ``low`` over the vertices not yet placed.
-        nonlocal bound, spent
+        nonlocal bound, spent, total
         if i == n:
             if not surjective or used == k:
                 bound = leaf(colors, bad, used)
             return
         if surjective and k - used > n - i:
             return
-        top = min(used + 1, k)
+        top = used + 1 if used < k else k
         spent += top
         if spent > budget:
             raise SizeLimitError(f"exact search exceeds its work budget of {budget} candidate placements")
@@ -300,6 +306,7 @@ def _search(
         row = cnt[v]
         rest = lb - low[v] - drop[i]
         ahead = later[i]
+        cut = cached[i + 1]
         for c in range(1, top + 1):
             conflicts = row[c]
             nb = bad + conflicts
@@ -320,7 +327,15 @@ def _search(
                     raised += 1
             if nb + rest + raised <= bound:
                 colors[v] = c
-                descend(i + 1, nb, used + (c > used), nd, rest + raised)
+                nu = used + (c > used)
+                if not cut:
+                    dfs(i + 1, nb, nu, nd, rest + raised)
+                elif (key := (i + 1, nu, nd > 0)) in memo:
+                    total += memo[key]
+                else:
+                    before = total
+                    dfs(i + 1, nb, nu, nd, rest + raised)
+                    memo[key] = total - before
             for w in ahead:
                 r = cnt[w]
                 x = r[c] - 1
@@ -328,40 +343,27 @@ def _search(
                 if x < low[w]:
                     low[w] = x
 
-    descend = dfs
     if memo is not None:
         weight = [math.perm(k, j) for j in range(width + 1)]
-        total = 0  # weighted leaves counted so far, cached subtrees included
         # A cut is a position where no placed vertex has an unplaced neighbor.
-        cuts, reach = {0}, 0
+        reach = 0
         for i in range(n - 1):
             reach = max(reach, i, *(pos[w] for w in later[i]))
-            if reach == i:
-                cuts.add(i + 1)
+            cached[i + 1] = reach == i
 
         def leaf(colors: list[int], bad: int, used: int) -> int:
             nonlocal total
             total += weight[used]
             return bound
 
-        def descend(i: int, bad: int, used: int, dirty: int, lb: int) -> None:
-            nonlocal total
-            if i not in cuts:
-                return dfs(i, bad, used, dirty, lb)
-            key = (i, used, dirty > 0)
-            if key in memo:
-                total += memo[key]
-                return
-            before = total
-            dfs(i, bad, used, dirty, lb)
-            memo[key] = total - before
-
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 2 * n)
+    sys.setrecursionlimit(limit + n)
     try:
-        descend(0, 0, 0, 0, sum(drop))
+        dfs(0, 0, 0, 0, sum(drop))
     finally:
         sys.setrecursionlimit(limit)
+    if memo is not None:
+        memo[0, 0, False] = total
     return spent
 
 
@@ -375,7 +377,7 @@ def _optimum(
     rule: RuleMode,
     surjective: bool,
     budget: int,
-    leaf: Callable[[list[int], int, int], int],
+    leaf: Callable[[list[int], int, int], int] | None,
     count: bool = False,
 ) -> tuple[int, int | None, int]:
     """Proven minimum bad-edge count; ``leaf`` sees the canonical optima in order.
@@ -390,7 +392,7 @@ def _optimum(
     The witness walk then runs over all of g in vertex-index order with that
     minimum as a fixed bound and each component's minimum as ``drop`` at its
     first vertex, so every leaf it reaches is optimal; ``leaf`` returns that
-    bound to go on, or -1 to stop.
+    bound to go on, or -1 to stop.  Without ``leaf`` no witness walk runs.
 
     With ``count`` set, the count walk follows: the components in the order
     of ``g.components()``, each in degree-descending order, with the same
@@ -417,7 +419,8 @@ def _optimum(
                             found - 1, improve, budget, spent)
         drop[part[0]] = found
     best = sum(drop)
-    spent = _search(g, k, rule, surjective, range(g.n), best, leaf, budget, spent, drop)
+    if leaf is not None:
+        spent = _search(g, k, rule, surjective, range(g.n), best, leaf, budget, spent, drop)
     if not count:
         return best, None, spent
     walk: list[int] = []  # component after component, each in degree order
@@ -445,7 +448,9 @@ def _split(g: Graph, parts: list[list[int]]) -> list[tuple[list[int], Graph]]:
     edges: list[list[tuple[int, int]]] = [[] for _ in parts]
     for u, v in g.edges:
         edges[where[u]].append((local[u], local[v]))
-    return [(part, Graph(len(part), tuple(e))) for part, e in zip(parts, edges) if e]
+    # g's edges are sorted and ``local`` ascends within a part, so each list
+    # is already sorted, normalized and in range: no checks are needed.
+    return [(part, Graph._unchecked(len(part), tuple(e))) for part, e in zip(parts, edges) if e]
 
 
 def chromatic_number(g: Graph) -> int:
@@ -521,10 +526,14 @@ def count_optimal(
     rule: RuleMode | str = RuleMode.ONE_CLASS,
     surjective: bool = True,
 ) -> int:
-    """Number of distinct labeled valid colorings achieving the minimum."""
-    result = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
-    assert result.optimal_count is not None
-    return result.optimal_count
+    """Number of distinct labeled valid colorings achieving the minimum.
+
+    Runs the bound phase and the count walk on the default work budget, but
+    no witness walk: nothing reads the witness.
+    """
+    count = _optimum(g, k, RuleMode(rule), surjective, DEFAULT_WORK_BUDGET, None, True)[1]
+    assert count is not None
+    return count
 
 
 def optimal_colorings(

@@ -104,11 +104,12 @@ def _family_row(label: str, name: str, n: int, k: int, check_count: bool = True)
     want_count = check_count and claim.count is not None
     res = solve(FAMILIES[name].build(n), k, RuleMode.ONE_CLASS, True, SolverConfig(count_optimal=want_count))
     claimed, computed = f"min={claim.min_bad}", f"min={res.min_bad}"
-    known = claim.min_bad != res.min_bad and claim.min_bad_disputed
+    # A disputed flag excuses only its own field: known when every wrong field is disputed.
+    known = claim.min_bad == res.min_bad or claim.min_bad_disputed
     if want_count:
         claimed += f" count={claim.count}"
         computed += f" count={res.optimal_count}"
-        known = known or (claim.count != res.optimal_count and claim.count_disputed)
+        known = known and (claim.count == res.optimal_count or claim.count_disputed)
     return _row(label, f"n={claim.n} k={claim.k}", claimed, computed, claimed == computed, known)
 
 

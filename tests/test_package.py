@@ -81,6 +81,8 @@ def test_graph_equality_ignores_its_adjacency():
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Graph(-1), InvalidParameterError, "vertex count must be a non-negative integer, got -1"),
+    (lambda: Graph(10**6 + 1), InvalidParameterError, "vertex count 1000001 exceeds the limit of 1000000"),
+    (lambda: Graph(10**13), InvalidParameterError, "vertex count 10000000000000 exceeds the limit of 1000000"),
     (lambda: Graph(2, [(0, "a")]), InvalidParameterError, "edge endpoints must be integers, got (0, 'a')"),
     (lambda: Graph(2, [(0, 0)]), InvalidParameterError, "self-loop at vertex 0"),
     (lambda: Graph(2, [(0, 5)]), InvalidParameterError, "edge (0, 5) out of range for n=2"),
@@ -106,6 +108,7 @@ NEG_TEXT = "-1" + "0" * 26 + "..." + "0" * 28
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Graph(-HUGE), InvalidParameterError, f"vertex count must be a non-negative integer, got {NEG_TEXT}"),
+    (lambda: Graph(HUGE), InvalidParameterError, f"vertex count {HUGE_TEXT} exceeds the limit of 1000000"),
     (lambda: Graph(3, ((0, HUGE),)), InvalidParameterError, f"edge (0, {HUGE_TEXT}) out of range for n=3"),
     (lambda: Graph(3, ((HUGE, HUGE),)), InvalidParameterError, f"self-loop at vertex {HUGE_TEXT}"),
     (lambda: Graph(3, ((0.5, -HUGE),)), InvalidParameterError,

@@ -1,6 +1,6 @@
 """Metamorphic properties of the exact solver, checked on generated graphs."""
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nearcolor import (
@@ -8,6 +8,7 @@ from nearcolor import (
     RuleMode,
     SolverConfig,
     chromatic_number,
+    count_optimal,
     disjoint_union,
     enumerate_oracle,
     solve,
@@ -180,3 +181,21 @@ def test_count_walk_matches_the_partition_oracle_on_larger_unions(g, k):
         if surjective and k > g.n:
             continue
         assert min_and_count(g, k, rule, surjective) == partition_oracle(g, k, rule, surjective)
+
+
+# count_optimal runs the bound phase and the count walk but no witness walk.
+
+
+@settings(deadline=None, max_examples=60)
+@given(unions(max_n=9, max_parts=6, isolated=3), st.integers(min_value=1, max_value=4))
+@example(Graph(7, ((0, 3), (3, 6), (0, 6), (1, 4), (2, 5))), 2)
+def test_count_optimal_without_a_witness_matches_solve_and_both_oracles(g, k):
+    assume(not g.is_connected())
+    for rule, surjective in SETTINGS:
+        if surjective and k > g.n:
+            continue
+        count = count_optimal(g, k, rule, surjective)
+        assert count == min_and_count(g, k, rule, surjective)[1]
+        assert count == partition_oracle(g, k, rule, surjective)[1]
+        if k**g.n <= 20_000:
+            assert count == enumerate_oracle(g, k, rule, surjective).optimal_count

@@ -92,6 +92,25 @@ def test_count_optimal_known_values():
     assert count_optimal(complete(5), 3, RuleMode.ONE_CLASS) == 60
 
 
+def test_count_optimal_runs_no_witness_walk(monkeypatch):
+    phases = []
+    search = solver._search
+
+    def recording(g, k, rule, surjective, order, bound, leaf, budget, spent, drop=None, memo=None):
+        phases.append("bound" if drop is None else "witness" if memo is None else "count")
+        return search(g, k, rule, surjective, order, bound, leaf, budget, spent, drop, memo)
+
+    monkeypatch.setattr(solver, "_search", recording)
+    g = disjoint_union(cycle(5), wheel(4)[0])[0]
+    for rule, surjective in itertools.product(RuleMode, (True, False)):
+        phases.clear()
+        count = count_optimal(g, 2, rule, surjective)
+        assert phases == ["bound", "bound", "count"]
+        phases.clear()
+        assert solve(g, 2, rule, surjective, SolverConfig(count_optimal=True)).optimal_count == count
+        assert phases == ["bound", "bound", "witness", "count"]
+
+
 def test_solve_agrees_with_oracle_on_seeded_instances():
     # Dense graphs and k = 4 are where the look-ahead bound prunes most.
     rng = random.Random(99)
@@ -210,6 +229,18 @@ def test_greedy_seed_bounds_each_component_from_above():
     assert seen == {"skipped", "proved", "1 beaten by 1", "2 beaten by 1", "2 beaten by 2"}
 
 
+def test_split_builds_the_induced_subgraphs_without_checks():
+    rng = random.Random(22)
+    for _ in range(40):
+        g = disconnected_graph(rng, rng.randint(2, 12))
+        parts = g.components()
+        split = solver._split(g, parts)
+        assert [part for part, _ in split] == [part for part in parts if len(part) > 1]
+        for part, sub in split:
+            want, _ = g.induced_subgraph(part)
+            assert (sub, sub.adj, repr(sub)) == (want, want.adj, repr(want))
+
+
 def test_components_without_an_edge_are_never_searched(monkeypatch):
     # An isolated vertex has minimum 0 and chromatic number 1, so only the
     # triangle and the edge get a greedy seed, a bound phase and a chi search.
@@ -284,6 +315,10 @@ def test_deep_searches_fit_the_interpreter_stack():
     assert solve(path(3000), 2, config=SolverConfig(work_budget=5999)).min_bad == 0
     with pytest.raises(SizeLimitError):
         solve(path(3000), 2, config=SolverConfig(work_budget=5998))
+    # The count walk looks its cache up from the node above each of the 1500
+    # component boundaries, so they add no frame: 3000 frames deep again.
+    assert count_optimal(matching, 2, RuleMode.ONE_CLASS, False) == 2**1500
+    assert count_optimal(matching, 2, RuleMode.UNRESTRICTED) == 2**1500
     assert sys.getrecursionlimit() == limit
 
 

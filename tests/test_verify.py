@@ -196,3 +196,11 @@ def test_a_claim_wrong_only_in_a_disputed_field_is_a_known_mismatch(monkeypatch)
     assert row == CheckRow("path", "n=3 k=1", "min=2 count=5", "min=2 count=1", STATUS_KNOWN_MISMATCH)
     assert wrong_claims(monkeypatch, min_bad=3, min_bad_disputed=True).status == STATUS_KNOWN_MISMATCH
     assert wrong_claims(monkeypatch, min_bad_disputed=True, count_disputed=True).status == STATUS_MATCH
+
+
+def test_a_disputed_flag_excuses_only_its_own_field(monkeypatch):
+    row = wrong_claims(monkeypatch, min_bad=1, count=5, count_disputed=True)
+    assert row == CheckRow("path", "n=3 k=1", "min=1 count=5", "min=2 count=1", STATUS_MISMATCH)
+    assert wrong_claims(monkeypatch, min_bad=1, count=5, min_bad_disputed=True).status == STATUS_MISMATCH
+    both = wrong_claims(monkeypatch, min_bad=1, count=5, min_bad_disputed=True, count_disputed=True)
+    assert both.status == STATUS_KNOWN_MISMATCH
