@@ -191,9 +191,9 @@ def _cmd_solve(args: argparse.Namespace, counting: bool) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    from .families import family_claim, split_spec
+    from .families import _split_within_limit, family_claim
 
-    claim = family_claim(*split_spec(args.family), args.k)
+    claim = family_claim(*_split_within_limit(args.family), args.k)
     payload = {
         "family": claim.family,
         "n": claim.n,
@@ -208,9 +208,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    from .families import complete_defect_polynomial, cycle_defect_polynomial, split_spec
+    from .families import _split_within_limit, complete_defect_polynomial, cycle_defect_polynomial
 
-    name, n = split_spec(args.family)
+    name, n = _split_within_limit(args.family)
     if name == "cycle":
         if args.bad is None:
             raise InvalidParameterError("--bad is required for cycle defect polynomials")

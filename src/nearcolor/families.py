@@ -166,6 +166,24 @@ def split_spec(spec: str) -> tuple[str, int]:
         raise InvalidParameterError(f"family parameter must be an integer, got {_excerpt(arg)}")
 
 
+def _refuse_over_limit(spec: str, vertices: int, edges: int) -> None:
+    """Refuse a spec whose graph would have more than ``graph.MAX_VERTICES``
+    vertices or edges, before anything is built or evaluated."""
+    if max(vertices, edges) > MAX_VERTICES:
+        raise InvalidParameterError(
+            f"family spec {_excerpt(spec)} makes {_excerpt(vertices)} vertices"
+            f" and {_excerpt(edges)} edges, over the limit of {MAX_VERTICES}"
+        )
+
+
+def _split_within_limit(spec: str) -> tuple[str, int]:
+    """``split_spec``, under the size limit of ``parse_family_spec``: the
+    closed forms of ``family`` and ``poly`` grow with the graph they describe."""
+    name, n = split_spec(spec)
+    _refuse_over_limit(spec, *FAMILIES[name].size(max(n, 0)))
+    return name, n
+
+
 def family_claim(name: str, n: int, k: int | None = None) -> FamilyResult:
     """The closed-form claim of family ``name`` for parameter n and k colors;
     k defaults to the color count the claim is for (path 1, cycle 2)."""
@@ -193,13 +211,7 @@ def parse_family_spec(spec: str) -> Graph:
         raise InvalidParameterError(f"{name}(...) takes exactly two operands, got {_excerpt(spec)}")
     operands = [split_spec(part.strip()) for part in parts]
     sizes = [FAMILIES[f].size(max(n, 0)) for f, n in operands]
-    vertices, edges = op.size(*sizes) if op else sizes[0]
-    if max(vertices, edges) > MAX_VERTICES:
-        raise InvalidParameterError(
-            f"family spec {_excerpt(spec)} makes {_excerpt(vertices)} vertices"
-            f" and {_excerpt(edges)} edges,"
-            f" over the limit of {MAX_VERTICES}"
-        )
+    _refuse_over_limit(spec, *(op.size(*sizes) if op else sizes[0]))
     graphs = [FAMILIES[f].build(n) for f, n in operands]
     return op.build(*graphs)[0] if op else graphs[0]
 

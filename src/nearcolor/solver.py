@@ -9,15 +9,15 @@ lexicographically smallest witness.
 One search kernel, ``_search``, serves every exact entry point (``solve``,
 ``count_optimal``, ``optimal_colorings``), in up to three phases.  The
 bound phase visits the vertices of each connected component in static
-degree-descending order and prunes on the incumbent.  The witness walk
-re-walks the tree in vertex-index order with the proven optimum as the
-bound, so the first leaf it reaches is the lexicographically smallest
-witness; ``solve`` stops it there, while ``optimal_colorings`` lets it
-visit every canonical optimum exactly once.  When ``solve`` counts, a
-count walk follows: it places the components one after another, each in
-degree order, and counts the optima without listing them (see below).
-``count_optimal`` returns no witness, so it runs no witness walk and spends
-less of its budget than a counting ``solve``.
+degree-descending order and prunes on the incumbent.  When the call
+counts, a count search follows on each component, in the same order with
+its proven minimum as the bound, and tallies its canonical optima by the
+number of colors they use; the tallies are combined in closed form (see
+below).  The witness walk re-walks the tree in vertex-index order with the
+proven optimum as the bound, so the first leaf it reaches is the
+lexicographically smallest witness; ``solve`` stops it there, while
+``optimal_colorings`` lets it visit every canonical optimum exactly once.
+``count_optimal`` returns no witness, so it runs no witness walk.
 
 The kernel breaks color symmetry: a vertex may only take a color at most
 one above the number of colors its prefix uses, so the colors in use are
@@ -48,22 +48,23 @@ under both rules: each component's dirty class can be renamed to one shared
 color, and with k <= n a vertex moved from a class of two or more into an
 unused color adds no bad edge and no dirty class, so surjectivity costs
 nothing.  The bound phase therefore runs once per component with an edge.
-The walks still run over the whole graph, and their look-ahead bound also
-counts the minimum of every component they have not yet entered.
+The witness walk still runs over the whole graph, and its look-ahead bound
+also counts the minimum of every component it has not yet entered.
 
-The count walk caches at component boundaries, as exact model counters
-cache independent components (Sang, Bacchus, Beame, Kautz and Pitassi,
-SAT 2004).  When one component is finished and the next not yet entered,
-no placed vertex has an unplaced neighbor, so every ``cnt``/``low`` row of
-the rest is zero, and the look-ahead bound is the sum of the remaining
-components' minima.  The bound is the optimum, the sum of all the minima,
-and each finished component costs at least its own, so the placed bad
-edges are exactly the finished components' minima.  What lies below is
-then fixed by the position, the colors in use and whether a class is dirty
-yet, not by which one: renaming the colors in use keeps every choice
-below.  The weighted count of that subtree is computed once per such state
-and reused; counting does not depend on the order of the vertices, so the
-count is the one the index-order walk would sum.
+The count of optima follows from each component's optima by
+inclusion-exclusion over color sets (Bjorklund, Husfeldt and Koivisto,
+SIAM J. Comput. 2009).  The optimum is the sum of the component minima and
+each component costs at least its own, so the optima of g are exactly the
+colorings whose restriction to every component is optimal for that
+component.  Let f(s) count those whose colors lie in a fixed set of s
+colors.  A component with ``A[j]`` canonical optima using j colors has
+``sum(A[j] * perm(s, j))`` optima within the set, and an isolated vertex
+has s.  Under the one-class rule the bad edges of g lie in one class, so
+the dirty classes of the components with a positive minimum all share one
+color: of the s ways to name it, each such component keeps a 1/s share of
+its optima.  With surjectivity off the count is f(k); with it on, the
+colorings that use all k colors number ``sum((-1)**(k - s) * comb(k, s) *
+f(s))`` over s = 1..k.
 
 Each component's bound phase is seeded with an incumbent, as exact coloring
 codes start from a DSATUR coloring (Brelaz 1979): H, the bad edges of the
@@ -81,7 +82,9 @@ largest over the connected components, each searched on its own.
 One deterministic work budget bounds every exact entry point.  Each search
 node charges the number of colors it is about to try, so the budget counts
 candidate placements; one public call shares one budget across all its
-searches and raises :class:`SizeLimitError` when it runs out.  Results are
+searches and raises :class:`SizeLimitError` when it runs out.  A
+surjective count sums k terms of up to n factors each, so a count with
+k * n above the budget is refused before any search.  Results are
 deterministic.
 """
 
@@ -89,6 +92,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -211,11 +215,10 @@ def _search(
     surjective: bool,
     order: Sequence[int],
     bound: int,
-    leaf: Callable[[list[int], int, int], int] | None,
+    leaf: Callable[[list[int], int, int], int],
     budget: int,
     spent: int,
     drop: Sequence[int] | None = None,
-    memo: dict[tuple[int, int, bool], int] | None = None,
 ) -> int:
     """DFS over canonical assignments, vertices in ``order`` and colors ascending.
 
@@ -250,23 +253,12 @@ def _search(
     leaf's return value is the new bound; a negative bound cuts every
     remaining branch.
 
-    With ``memo`` the search counts instead, and ``leaf`` is not called:
-    each leaf adds ``math.perm(k, used)``.  ``bound`` must then be
-    ``sum(drop)`` and ``drop`` the component minima.  At each cut of
-    ``order``, a position where no placed vertex has an unplaced neighbor,
-    the weighted count of the subtree goes into ``memo`` under
-    ``(position, used, dirty > 0)``, and a state seen before adds its stored
-    count without a search (see the module docstring); the whole count ends
-    up under ``(0, 0, False)``.
-
     Each node adds the number of colors it tries to ``spent``, the candidate
     placements made so far by the calling entry point; past ``budget`` the
     search raises :class:`SizeLimitError`.  Returns the new ``spent``.
 
-    The DFS goes one Python frame deeper per vertex in every walk: the cache
-    is looked up by the node above a cut, not by a frame of its own.  So the
-    interpreter's recursion limit is raised by n for the duration of the
-    search.
+    The DFS goes one Python frame deeper per vertex, so the interpreter's
+    recursion limit is raised by n for the duration of the search.
     """
     n = g.n
     if drop is None:
@@ -284,14 +276,11 @@ def _search(
     # above every count, so ``x not in cnt[w]`` asks whether no color holds x.
     cnt = [[n + 1] + [0] * width for _ in range(n)]
     low = [0] * n  # low[w] = min over colors c of cnt[w][c]
-    # cached[i]: the count walk caches the subtree at position i, a cut.
-    cached = [False] * (n + 1)
-    total = 0  # weighted leaves counted so far, cached subtrees included
 
     def dfs(i: int, bad: int, used: int, dirty: int, lb: int) -> None:
         # ``dirty`` is the one class allowed to hold a bad edge; 0 = none yet.
         # ``lb`` is the sum of ``low`` over the vertices not yet placed.
-        nonlocal bound, spent, total
+        nonlocal bound, spent
         if i == n:
             if not surjective or used == k:
                 bound = leaf(colors, bad, used)
@@ -306,7 +295,6 @@ def _search(
         row = cnt[v]
         rest = lb - low[v] - drop[i]
         ahead = later[i]
-        cut = cached[i + 1]
         for c in range(1, top + 1):
             conflicts = row[c]
             nb = bad + conflicts
@@ -327,15 +315,7 @@ def _search(
                     raised += 1
             if nb + rest + raised <= bound:
                 colors[v] = c
-                nu = used + (c > used)
-                if not cut:
-                    dfs(i + 1, nb, nu, nd, rest + raised)
-                elif (key := (i + 1, nu, nd > 0)) in memo:
-                    total += memo[key]
-                else:
-                    before = total
-                    dfs(i + 1, nb, nu, nd, rest + raised)
-                    memo[key] = total - before
+                dfs(i + 1, nb, used + (c > used), nd, rest + raised)
             for w in ahead:
                 r = cnt[w]
                 x = r[c] - 1
@@ -343,27 +323,12 @@ def _search(
                 if x < low[w]:
                     low[w] = x
 
-    if memo is not None:
-        weight = [math.perm(k, j) for j in range(width + 1)]
-        # A cut is a position where no placed vertex has an unplaced neighbor.
-        reach = 0
-        for i in range(n - 1):
-            reach = max(reach, i, *(pos[w] for w in later[i]))
-            cached[i + 1] = reach == i
-
-        def leaf(colors: list[int], bad: int, used: int) -> int:
-            nonlocal total
-            total += weight[used]
-            return bound
-
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + n)
     try:
         dfs(0, 0, 0, 0, sum(drop))
     finally:
         sys.setrecursionlimit(limit)
-    if memo is not None:
-        memo[0, 0, False] = total
     return spent
 
 
@@ -389,48 +354,61 @@ def _optimum(
     0, and tightens the bound to one below each better incumbent.
     Surjectivity is off there unless g is connected: the sum of the
     component minima is the minimum either way (see the module docstring).
-    The witness walk then runs over all of g in vertex-index order with that
-    minimum as a fixed bound and each component's minimum as ``drop`` at its
-    first vertex, so every leaf it reaches is optimal; ``leaf`` returns that
-    bound to go on, or -1 to stop.  Without ``leaf`` no witness walk runs.
-
-    With ``count`` set, the count walk follows: the components in the order
-    of ``g.components()``, each in degree-descending order, with the same
-    bound and each minimum at the component's first position, caching at
-    every component boundary.  All searches draw on one work budget.
-    Returns the minimum, the number of labeled optima (None without
-    ``count``) and the placements spent.
+    With ``count`` set, a count search follows on the same component, with
+    the same order and surjectivity and its minimum as the bound, and
+    tallies the canonical optima by the colors they use.  The witness walk
+    then runs over all of g in vertex-index order with the minimum of g as
+    a fixed bound and each component's minimum as ``drop`` at its first
+    vertex, so every leaf it reaches is optimal; ``leaf`` returns that bound
+    to go on, or -1 to stop.  Without ``leaf`` no witness walk runs.  All
+    searches draw on one work budget.  Returns the minimum, the number of
+    labeled optima (None without ``count``) and the placements spent.
     """
     _check_instance(g, k, surjective)
+    if count and surjective and k * g.n > budget:
+        raise SizeLimitError(f"a surjective count sums {k} terms over {g.n} vertices, past the work budget of {budget}")
     parts = g.components()
     drop = [0] * g.n
+    tallies: list[list[int]] = []  # per component: its canonical optima by the colors they use
+    dirty = 0  # components with a positive minimum
 
     def improve(colors: list[int], bad: int, used: int) -> int:
         nonlocal found
         found = bad
         return bad - 1
 
+    def census(colors: list[int], bad: int, used: int) -> int:
+        tallies[-1][used] += 1
+        return bad
+
     spent = 0
+    whole = surjective and len(parts) == 1
     for part, sub in _split(g, parts):
         order = _degree_order(sub)
         found, _ = _greedy(sub, k, rule, False, order)
         if found:
-            spent = _search(sub, k, rule, surjective and len(parts) == 1, order,
-                            found - 1, improve, budget, spent)
+            spent = _search(sub, k, rule, whole, order, found - 1, improve, budget, spent)
         drop[part[0]] = found
+        if count:
+            tallies.append([0] * (min(k, sub.n) + 1))
+            spent = _search(sub, k, rule, whole, order, found, census, budget, spent)
+            dirty += found > 0
     best = sum(drop)
     if leaf is not None:
         spent = _search(g, k, rule, surjective, range(g.n), best, leaf, budget, spent, drop)
     if not count:
         return best, None, spent
-    walk: list[int] = []  # component after component, each in degree order
-    shed = [0] * g.n  # drop, by position in the walk
-    for part in parts:
-        shed[len(walk)] = drop[part[0]]
-        walk += sorted(part, key=lambda v: -len(g.adj[v]))
-    memo: dict[tuple[int, int, bool], int] = {}
-    spent = _search(g, k, rule, surjective, walk, best, None, budget, spent, shed, memo)
-    return best, memo[0, 0, False], spent
+    isolated, width = len(parts) - len(tallies), max(map(len, tallies), default=1)
+    # Under the one-class rule the dirty components share one color (see the module docstring).
+    shared = max(dirty - 1, 0) if rule is RuleMode.ONE_CLASS else 0
+
+    def within(s: int) -> int:  # the labeled optima whose colors lie in a fixed set of s colors
+        perm = list(itertools.accumulate(range(s, s - width + 1, -1), operator.mul, initial=1))
+        return s**isolated * math.prod(sum(map(operator.mul, a, perm)) for a in tallies) // s**shared
+
+    if not surjective:
+        return best, within(k), spent
+    return best, sum((-1) ** (k - s) * math.comb(k, s) * within(s) for s in range(1, k + 1)), spent
 
 
 def _split(g: Graph, parts: list[list[int]]) -> list[tuple[list[int], Graph]]:
@@ -528,8 +506,8 @@ def count_optimal(
 ) -> int:
     """Number of distinct labeled valid colorings achieving the minimum.
 
-    Runs the bound phase and the count walk on the default work budget, but
-    no witness walk: nothing reads the witness.
+    Runs each component's bound phase and count search on the default work
+    budget, but no witness walk: nothing reads the witness.
     """
     count = _optimum(g, k, RuleMode(rule), surjective, DEFAULT_WORK_BUDGET, None, True)[1]
     assert count is not None

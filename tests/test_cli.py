@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nearcolor.cli import _HEADER, _OPERATIONS, build_parser, main, parse_family_spec
 from nearcolor.families import FAMILIES, OPERATIONS
 from nearcolor.verify import SUITES, CheckRow
-from nearcolor import InvalidParameterError, complete, wheel
+from nearcolor import InvalidParameterError, complete, families, wheel
 
 
 def run(capsys, *argv):
@@ -46,6 +46,28 @@ def test_family_spec_size_is_limited_before_anything_is_built(capsys, monkeypatc
         assert "over the limit of 1000000" in err
     monkeypatch.undo()
     assert parse_family_spec("complete:1000").m == 499_500
+
+
+def test_family_and_poly_specs_are_limited_before_their_closed_forms(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError(f"evaluated a closed form at {args}")
+
+    # These closed forms take from seconds to minutes, so a broken guard fails here instead.
+    monkeypatch.setitem(FAMILIES, "complete", FAMILIES["complete"]._replace(claim=never))
+    monkeypatch.setattr(families, "cycle_defect_polynomial", never)
+    monkeypatch.setattr(families, "complete_defect_polynomial", never)
+    for argv in (
+        ["poly", "--family", "cycle:1000000000", "--lambda", "3", "--bad", "0"],
+        ["poly", "--family", "complete:1415", "--lambda", "3", "--k", "3"],
+        ["family", "--family", "complete:1000000000", "--k", "999999995"],
+        ["family", "--family", "complete:1000000", "--k", "500000"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "over the limit of 1000000" in err
+    monkeypatch.undo()
+    assert run(capsys, "family", "--family", "complete:1414", "--k", "1413")[0] == 0
+    assert run(capsys, "poly", "--family", "cycle:1000000", "--lambda", "1", "--bad", "1")[0] == 0
 
 
 def test_huge_exact_values_print_in_full(tmp_path, capsys):

@@ -154,9 +154,8 @@ def test_seeded_search_matches_both_oracles_on_unions(g, k):
         assert partition_oracle(g, k, rule, surjective) == (o.min_bad, o.optimal_count)
 
 
-# The count walk places the components one after another and reuses the
-# count below a component boundary whenever the colors in use and the
-# dirtiness of a class recur; the witness still comes from the index-order
+# Counting searches each component on its own, in degree order, and combines
+# the counts in closed form; the witness still comes from the index-order
 # walk.  Components that interleave in index order separate the two orders.
 
 
@@ -183,7 +182,7 @@ def test_count_walk_matches_the_partition_oracle_on_larger_unions(g, k):
         assert min_and_count(g, k, rule, surjective) == partition_oracle(g, k, rule, surjective)
 
 
-# count_optimal runs the bound phase and the count walk but no witness walk.
+# count_optimal runs the bound phase and the count searches but no witness walk.
 
 
 @settings(deadline=None, max_examples=60)
@@ -199,3 +198,43 @@ def test_count_optimal_without_a_witness_matches_solve_and_both_oracles(g, k):
         assert count == partition_oracle(g, k, rule, surjective)[1]
         if k**g.n <= 20_000:
             assert count == enumerate_oracle(g, k, rule, surjective).optimal_count
+
+
+# Under the one-class rule the components with a positive minimum must put
+# their bad edges in one shared color, while the others color properly, and
+# isolated vertices take any color: unions of all three kinds exercise every
+# factor of the closed form.
+
+
+@st.composite
+def clean_and_dirty_unions(draw):
+    """(g, k): a tree (proper with k >= 2 colors), one or two copies of
+    K_{k+1} (never proper), some with a pendant vertex, and isolated
+    vertices, labels shuffled."""
+    k = draw(st.integers(min_value=2, max_value=3))
+    size = draw(st.integers(min_value=2, max_value=3))
+    edges = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, size)]
+    n = size
+    for _ in range(draw(st.integers(min_value=1, max_value=4 - k))):
+        edges += [(n + u, n + v) for u in range(k + 1) for v in range(u + 1, k + 1)]
+        n += k + 1
+        if draw(st.booleans()):
+            edges.append((n - 1, n))
+            n += 1
+    n += draw(st.integers(min_value=1, max_value=2))
+    label = draw(st.permutations(range(n)))
+    return Graph(n, tuple((label[u], label[v]) for u, v in edges)), k
+
+
+@settings(deadline=None, max_examples=40)
+@given(clean_and_dirty_unions())
+@example((Graph(10, ((0, 1), (2, 3), (2, 4), (3, 4), (5, 6), (5, 7), (6, 7))), 2))
+def test_counts_of_clean_and_dirty_components_match_both_oracles(case):
+    g, k = case
+    for rule, surjective in SETTINGS:
+        o = enumerate_oracle(g, k, rule, surjective)
+        assert count_optimal(g, k, rule, surjective) == o.optimal_count
+        assert min_and_count(g, k, rule, surjective) == partition_oracle(g, k, rule, surjective) == (
+            o.min_bad,
+            o.optimal_count,
+        )

@@ -1,6 +1,7 @@
 """The enumeration oracle, the branch-and-bound engine, and their agreement."""
 
 import itertools
+import math
 import random
 import sys
 
@@ -35,6 +36,7 @@ from nearcolor import (
 from nearcolor import solver
 from nearcolor.verify import random_connected_graph
 from partition_oracle import partition_oracle
+from test_node_counts import phase
 
 
 def brute_force(g, k, rule, surjective):
@@ -96,19 +98,19 @@ def test_count_optimal_runs_no_witness_walk(monkeypatch):
     phases = []
     search = solver._search
 
-    def recording(g, k, rule, surjective, order, bound, leaf, budget, spent, drop=None, memo=None):
-        phases.append("bound" if drop is None else "witness" if memo is None else "count")
-        return search(g, k, rule, surjective, order, bound, leaf, budget, spent, drop, memo)
+    def recording(*args, **kwargs):
+        phases.append(phase(*args, **kwargs).split()[0])
+        return search(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_search", recording)
     g = disjoint_union(cycle(5), wheel(4)[0])[0]
     for rule, surjective in itertools.product(RuleMode, (True, False)):
         phases.clear()
         count = count_optimal(g, 2, rule, surjective)
-        assert phases == ["bound", "bound", "count"]
+        assert phases == ["bound", "count", "bound", "count"]
         phases.clear()
         assert solve(g, 2, rule, surjective, SolverConfig(count_optimal=True)).optimal_count == count
-        assert phases == ["bound", "bound", "witness", "count"]
+        assert phases == ["bound", "count", "bound", "count", "witness"]
 
 
 def test_solve_agrees_with_oracle_on_seeded_instances():
@@ -281,10 +283,10 @@ def test_union_of_two_16_vertex_graphs_fits_a_small_work_budget():
 
 
 def test_union_of_two_16_vertex_graphs_counts_within_a_small_work_budget():
-    # The count walk caches the second component's count for each way the
-    # first one leaves the colors, so it does not visit the product of the
-    # two components' optima: 8,202 and 33,324 placements, where walking
-    # that product in index order made 990,478 and 1,235,638.
+    # Each component is counted on its own and the counts are combined in
+    # closed form, so the count does not visit the product of the two
+    # components' optima: its searches make 1,399 and 5,581 placements,
+    # where walking that product in index order made 990,478 and 1,235,638.
     u, _ = disjoint_union(random_graph(1), random_graph(2))
     for rule, expect in ((RuleMode.ONE_CLASS, 40608), (RuleMode.UNRESTRICTED, 235872)):
         res = solve(u, 3, rule, config=SolverConfig(work_budget=100_000, count_optimal=True))
@@ -295,7 +297,8 @@ def test_disconnected_g15_counts_fit_the_default_work_budget():
     # The one disconnected G(15, 0.2) of seeds 0-19 whose k = 4 counts ran
     # past the default budget when the count walked the product of its
     # components' optima: a 7- and a 6-vertex component and two isolated
-    # vertices, with about 5,900 placements now in each setting.
+    # vertices.  Counting each component on its own makes 337 placements
+    # in each setting.
     g = random_graph(0, n=15, p=0.2)
     assert [len(part) for part in g.components()] == [1, 7, 6, 1]
     for rule in RuleMode:
@@ -315,8 +318,9 @@ def test_deep_searches_fit_the_interpreter_stack():
     assert solve(path(3000), 2, config=SolverConfig(work_budget=5999)).min_bad == 0
     with pytest.raises(SizeLimitError):
         solve(path(3000), 2, config=SolverConfig(work_budget=5998))
-    # The count walk looks its cache up from the node above each of the 1500
-    # component boundaries, so they add no frame: 3000 frames deep again.
+    # A count search on one component goes as deep as that component: 3000
+    # frames on the path, 2 on each of the matching's 1500 edges.
+    assert count_optimal(path(3000), 2, RuleMode.UNRESTRICTED) == 2
     assert count_optimal(matching, 2, RuleMode.ONE_CLASS, False) == 2**1500
     assert count_optimal(matching, 2, RuleMode.UNRESTRICTED) == 2**1500
     assert sys.getrecursionlimit() == limit
@@ -398,6 +402,29 @@ def test_infeasible_and_invalid_parameters():
     assert solve(path(2), 3, surjective=False).min_bad == 0
 
 
+def test_surjective_count_of_1000_isolated_vertices_onto_100_colors():
+    # The surjections of 1000 items onto 100 colors number 100! * S(1000, 100),
+    # S the Stirling number of the second kind: S(n, j) = j S(n-1, j) + S(n-1, j-1).
+    stirling = [1] + [0] * 100
+    for _ in range(1000):
+        stirling = [0] + [j * stirling[j] + stirling[j - 1] for j in range(1, 101)]
+    assert count_optimal(Graph(1000), 100) == math.factorial(100) * stirling[100]
+
+
+def test_surjective_count_with_k_times_n_over_the_budget_is_refused_up_front(monkeypatch):
+    g = disjoint_union(complete(3), Graph(97))[0]  # k * n = 5000 at k = 50
+    counting = SolverConfig(work_budget=5000, count_optimal=True)
+    assert solve(g, 50, config=counting).optimal_count == count_optimal(g, 50)
+    monkeypatch.setattr(solver, "_search", None)  # refused before any search
+    with pytest.raises(SizeLimitError):
+        solve(g, 50, config=SolverConfig(work_budget=4999, count_optimal=True))
+    with pytest.raises(SizeLimitError):
+        count_optimal(Graph(2001), 1000)
+    monkeypatch.undo()
+    assert solve(g, 50, surjective=False, config=SolverConfig(work_budget=4999, count_optimal=True)).optimal_count
+    assert solve(g, 50, config=SolverConfig(work_budget=4999)).min_bad == 0
+
+
 def test_spare_colors_beyond_n_add_no_setup_cost():
     # A canonical assignment of n vertices uses at most n colors, so the
     # kernel's and the heuristic's color tables stop growing at n.
@@ -424,8 +451,8 @@ def test_every_exact_entry_point_honours_the_cap():
 
 def test_one_work_budget_covers_every_search_of_a_call(monkeypatch):
     # Counting K10 with 4 colors makes 1239 candidate placements in the bound
-    # phase, 22 in the witness walk (up to its first leaf) and 1409 in the
-    # count walk; the call is charged for all three.
+    # phase, 1409 in the count search and 22 in the witness walk (up to its
+    # first leaf); the call is charged for all three.
     assert solve(complete(10), 4, config=SolverConfig(work_budget=2670, count_optimal=True)).optimal_count == 2880
     with pytest.raises(SizeLimitError):
         solve(complete(10), 4, config=SolverConfig(work_budget=2669, count_optimal=True))
