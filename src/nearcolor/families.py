@@ -21,7 +21,7 @@ from ._record import Record
 from .coloring import RuleMode
 from .errors import InvalidParameterError, SizeLimitError, _excerpt
 from .graph import MAX_VERTICES, Graph, complete, corona, cycle, disjoint_union, helm, join, path, wheel
-from .solver import _class_sizes, chromatic_number, solve
+from .solver import _class_sizes, _minimum, chromatic_number
 
 
 class FamilyResult(Record):
@@ -220,11 +220,33 @@ def parse_family_spec(spec: str) -> Graph:
 # Defect polynomials
 # ---------------------------------------------------------------------------
 
+# Decimal digits a defect-polynomial value may have: printing one of 10^5
+# digits takes about 0.3 s, and the time grows with the square of the digits.
+MAX_POLY_DIGITS = 10**5
+
+
+def _refuse_over_digits(bits: int) -> None:
+    """Refuse a value estimated at ``bits`` bits whose decimal form would pass
+    ``MAX_POLY_DIGITS`` digits, before it is computed."""
+    digits = bits * 30103 // 100000  # log10(2)
+    if digits > MAX_POLY_DIGITS:
+        raise SizeLimitError(
+            f"the polynomial value would have about {_excerpt(digits)} digits, over the limit of {MAX_POLY_DIGITS}"
+        )
+
+
+def _binomial_bits(n: int, r: int) -> int:
+    """An upper bound on the bits of C(n, r): it is below 2^n and n^min(r, n-r)."""
+    return min(n, min(r, n - r) * n.bit_length())
+
+
 def cycle_defect_polynomial(n: int, bad: int, colors: int) -> int:
     """Number of assignments of ``colors`` colors to an n-cycle with exactly
     ``bad`` bad edges (all assignments compete: no surjectivity, no class rule).
 
     Closed form: C(n, bad) * ((colors-1)^(n-bad) + (-1)^(n-bad) (colors-1)).
+    A value of more than ``MAX_POLY_DIGITS`` digits, estimated from bit
+    lengths, raises :class:`SizeLimitError` before it is computed.
     """
     if n < 3:
         raise InvalidParameterError(f"a cycle needs at least 3 vertices, got {_excerpt(n)}")
@@ -232,6 +254,7 @@ def cycle_defect_polynomial(n: int, bad: int, colors: int) -> int:
         raise InvalidParameterError(f"bad-edge count must lie in 0..{_excerpt(n)}, got {_excerpt(bad)}")
     if colors < 1:
         raise InvalidParameterError(f"need at least 1 color, got {_excerpt(colors)}")
+    _refuse_over_digits(_binomial_bits(n, bad) + max(n - bad, 1) * (colors - 1).bit_length() + 1)
     sign = -1 if (n - bad) % 2 else 1
     return comb(n, bad) * ((colors - 1) ** (n - bad) + sign * (colors - 1))
 
@@ -242,6 +265,8 @@ def complete_defect_polynomial(n: int, k: int, colors: int) -> int:
     vertices, every other used color a singleton.
 
     Closed form: C(n, n-k+1) * colors * (colors-1) * ... * (colors-k+1).
+    A value of more than ``MAX_POLY_DIGITS`` digits, estimated from bit
+    lengths, raises :class:`SizeLimitError` before it is computed.
     """
     if n < 2:
         raise InvalidParameterError(f"need at least 2 vertices, got {_excerpt(n)}")
@@ -249,6 +274,7 @@ def complete_defect_polynomial(n: int, k: int, colors: int) -> int:
         raise InvalidParameterError(f"k must lie in 2..{_excerpt(n - 1)}, got {_excerpt(k)}")
     if colors < k:
         raise InvalidParameterError(f"need at least k={_excerpt(k)} colors, got {_excerpt(colors)}")
+    _refuse_over_digits(_binomial_bits(n, k - 1) + k * colors.bit_length())
     return comb(n, n - k + 1) * perm(colors, k)
 
 
@@ -320,7 +346,7 @@ def _report(
     left, right = sides
     bound = left + right + (cross or 0)
     try:
-        exact = solve(combined, k, rule, surjective=k <= combined.n).min_bad
+        exact = _minimum(combined, k, rule)
     except SizeLimitError:
         exact = None
     return BoundReport(
@@ -358,7 +384,7 @@ def union_bound(
     rule = RuleMode(rule)
     g, h, labels, chi_g = _smaller_chromatic_first(g, h, labels)
     t = _color_budget(k, chi_g, relaxed)
-    sides = solve(g, t, rule, t <= g.n).min_bad, solve(h, k, rule, k <= h.n).min_bad
+    sides = _minimum(g, t, rule), _minimum(h, k, rule)
     return _report("union", g, h, k, t, rule, labels, sides, None, disjoint_union(g, h)[0])
 
 
@@ -375,14 +401,14 @@ def join_bound(
     cross term over optimal side colorings.
 
     The cross term sums, per color, the product of the two sides' usage
-    counts; it is minimized over every pair of optimal side colorings.  One
-    walk per side reads its optima as class sizes; h's optima are closed
-    under renaming colors, so by the rearrangement inequality g's sizes
-    ascending against h's descending give each pair's minimum.  The exact
-    side defaults to the unrestricted rule because the minimizing join
-    colorings may let both sides keep a monochromatic adjacency; under that
-    default every candidate corresponds to an actual coloring of the join,
-    so slack is non-negative.  (With a one-class exact side the combined
+    counts; it is minimized over every pair of optimal side colorings.  Each
+    side's optima are read as class sizes; h's optima are closed under
+    renaming colors, so by the rearrangement inequality g's sizes ascending
+    against h's descending give each pair's minimum.  The exact side
+    defaults to the unrestricted rule because the minimizing join colorings
+    may let both sides keep a monochromatic adjacency; under that default
+    every candidate corresponds to an actual coloring of the join, so slack
+    is non-negative.  (With a one-class exact side the combined
     candidates can be inadmissible and the reported slack may go negative.)
     """
     rule = RuleMode(rule)
@@ -430,7 +456,7 @@ def corona_formula(
     t = _color_budget(k, chi_g, relaxed)
     right, sizes_h = _class_sizes(h, k, rule)
     cross = g.n * min(p[0] for p in sizes_h)
-    sides = solve(g, t, rule, t <= g.n).min_bad, right
+    sides = _minimum(g, t, rule), right
     return _report("corona", g, h, k, t, rule, labels, sides, cross, corona(g, h)[0])
 
 

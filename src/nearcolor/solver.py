@@ -7,17 +7,17 @@ oracle exactly on the minimum, the count of optimal colorings, and the
 lexicographically smallest witness.
 
 One search kernel, ``_search``, serves every exact entry point (``solve``,
-``count_optimal``, ``optimal_colorings``), in up to three phases.  The
-bound phase visits the vertices of each connected component in static
-degree-descending order and prunes on the incumbent.  When the call
-counts, a count search follows on each component, in the same order with
-its proven minimum as the bound, and tallies its canonical optima by the
-number of colors they use; the tallies are combined in closed form (see
-below).  The witness walk re-walks the tree in vertex-index order with the
-proven optimum as the bound, so the first leaf it reaches is the
-lexicographically smallest witness; ``solve`` stops it there, while
-``optimal_colorings`` lets it visit every canonical optimum exactly once.
-``count_optimal`` returns no witness, so it runs no witness walk.
+``count_optimal``, ``optimal_colorings``): once per connected component,
+in static degree-descending order with pruning on the incumbent, and then,
+when a witness is wanted, once over the whole graph.  Where the caller
+reads only the minimum, each component's search is a bound phase; where it
+reads every optimum (a count, or the class sizes of the join and corona
+bounds), it is a census, which records every canonical optimum (see below).
+The witness walk re-walks the tree in vertex-index order with the proven
+optimum as the bound, so the first leaf it reaches is the lexicographically
+smallest witness; ``solve`` stops it there, while ``optimal_colorings``
+lets it visit every canonical optimum exactly once.  ``count_optimal`` and
+the bound reports return no witness, so they run no witness walk.
 
 The kernel breaks color symmetry: a vertex may only take a color at most
 one above the number of colors its prefix uses, so the colors in use are
@@ -47,9 +47,10 @@ so the minimum is the sum of the components' minima with surjectivity off,
 under both rules: each component's dirty class can be renamed to one shared
 color, and with k <= n a vertex moved from a class of two or more into an
 unused color adds no bad edge and no dirty class, so surjectivity costs
-nothing.  The bound phase therefore runs once per component with an edge.
-The witness walk still runs over the whole graph, and its look-ahead bound
-also counts the minimum of every component it has not yet entered.
+nothing.  The bound phase or census therefore runs once per component with
+an edge.  The witness walk still runs over the whole graph, and its
+look-ahead bound also counts the minimum of every component it has not yet
+entered.
 
 The count of optima follows from each component's optima by
 inclusion-exclusion over color sets (Bjorklund, Husfeldt and Koivisto,
@@ -66,14 +67,19 @@ its optima.  With surjectivity off the count is f(k); with it on, the
 colorings that use all k colors number ``sum((-1)**(k - s) * comb(k, s) *
 f(s))`` over s = 1..k.
 
-Each component's bound phase is seeded with an incumbent, as exact coloring
+Each component's search is seeded with an incumbent, as exact coloring
 codes start from a DSATUR coloring (Brelaz 1979): H, the bad edges of the
 coloring that ``greedy_heuristic`` builds for the component with
 surjectivity off.  That coloring is valid, so H bounds the minimum from
 above, and by the argument above surjectivity does not change the minimum.
-The search starts at bound H - 1, so it only has to beat H or prove it
-optimal, and it does not run at all when H is 0.  The heuristic makes no
-placements and its polynomial work is not charged to the work budget.
+The bound phase starts at bound H - 1, so it only has to beat H or prove it
+optimal, and it does not run at all when H is 0.  The census starts at
+bound H and keeps ties: a leaf below the incumbent lowers it and clears
+what was recorded.  One census replaces a bound phase plus a second search
+at the proven minimum, whose tree holds the bound phase's last proof, but
+it can cost more where H is above the minimum and the incumbents on the way
+down have many ties.  The heuristic makes no placements and its polynomial
+work is not charged to the work budget.
 
 The chromatic number comes from the same kernel: it is the smallest k for
 which a search with bound 0 and surjectivity off reaches a leaf, and the
@@ -92,8 +98,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
+from collections import Counter
+from collections.abc import Hashable
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._record import Record
@@ -342,35 +349,35 @@ def _optimum(
     rule: RuleMode,
     surjective: bool,
     budget: int,
-    leaf: Callable[[list[int], int, int], int] | None,
-    count: bool = False,
-) -> tuple[int, int | None, int]:
+    leaf: Callable[[list[int], int, int], int] | None = None,
+    key: Callable[[Graph, list[int], int, int], Hashable] | None = None,
+) -> tuple[int, tuple[int, list[tuple[int, Counter[Hashable]]]] | None, int]:
     """Proven minimum bad-edge count; ``leaf`` sees the canonical optima in order.
 
-    Rejects the instance if it is invalid.  The bound phase runs once per
-    connected component with an edge, relabeled densely, in degree-descending
-    order.  Its first incumbent is the greedy coloring's bad-edge count H
-    (surjectivity off), so it searches at bound H - 1, is skipped when H is
-    0, and tightens the bound to one below each better incumbent.
+    Rejects the instance if it is invalid.  Each connected component with an
+    edge is searched on its own, relabeled densely, in degree-descending
+    order, from the greedy coloring's bad-edge count H (surjectivity off).
     Surjectivity is off there unless g is connected: the sum of the
     component minima is the minimum either way (see the module docstring).
-    With ``count`` set, a count search follows on the same component, with
-    the same order and surjectivity and its minimum as the bound, and
-    tallies the canonical optima by the colors they use.  The witness walk
-    then runs over all of g in vertex-index order with the minimum of g as
-    a fixed bound and each component's minimum as ``drop`` at its first
-    vertex, so every leaf it reaches is optimal; ``leaf`` returns that bound
-    to go on, or -1 to stop.  Without ``leaf`` no witness walk runs.  All
-    searches draw on one work budget.  Returns the minimum, the number of
-    labeled optima (None without ``count``) and the placements spent.
+    Without ``key`` that search is the bound phase: it runs at bound H - 1,
+    is skipped when H is 0, and tightens the bound to one below each better
+    incumbent.  With ``key`` it is the census: it runs at bound H, and a
+    leaf strictly below the incumbent lowers it and clears what was
+    recorded, so once the search ends it has recorded every canonical
+    optimum of the component, each as ``key(sub, colors, bad, used)``.
+    The witness walk then runs over all of g in vertex-index order with the
+    minimum of g as a fixed bound and each component's minimum as ``drop``
+    at its first vertex, so every leaf it reaches is optimal; ``leaf``
+    returns that bound to go on, or -1 to stop.  Without ``leaf`` no witness
+    walk runs.  All searches draw on one work budget.  Returns the minimum,
+    the census (None without ``key``) and the placements spent.  The census
+    is the number of isolated vertices and, per component with an edge, its
+    minimum and a ``Counter`` of the keys of its canonical optima.
     """
     _check_instance(g, k, surjective)
-    if count and surjective and k * g.n > budget:
-        raise SizeLimitError(f"a surjective count sums {k} terms over {g.n} vertices, past the work budget of {budget}")
     parts = g.components()
     drop = [0] * g.n
-    tallies: list[list[int]] = []  # per component: its canonical optima by the colors they use
-    dirty = 0  # components with a positive minimum
+    tallies: list[tuple[int, Counter[Hashable]]] = []
 
     def improve(colors: list[int], bad: int, used: int) -> int:
         nonlocal found
@@ -378,7 +385,11 @@ def _optimum(
         return bad - 1
 
     def census(colors: list[int], bad: int, used: int) -> int:
-        tallies[-1][used] += 1
+        nonlocal found
+        if bad < found:
+            found = bad
+            seen.clear()
+        seen[key(sub, colors, bad, used)] += 1
         return bad
 
     spent = 0
@@ -386,25 +397,40 @@ def _optimum(
     for part, sub in _split(g, parts):
         order = _degree_order(sub)
         found, _ = _greedy(sub, k, rule, False, order)
-        if found:
+        if key is not None:
+            seen: Counter[Hashable] = Counter()
+            spent = _search(sub, k, rule, whole, order, found, census, budget, spent)
+            tallies.append((found, seen))
+        elif found:
             spent = _search(sub, k, rule, whole, order, found - 1, improve, budget, spent)
         drop[part[0]] = found
-        if count:
-            tallies.append([0] * (min(k, sub.n) + 1))
-            spent = _search(sub, k, rule, whole, order, found, census, budget, spent)
-            dirty += found > 0
     best = sum(drop)
     if leaf is not None:
         spent = _search(g, k, rule, surjective, range(g.n), best, leaf, budget, spent, drop)
-    if not count:
-        return best, None, spent
-    isolated, width = len(parts) - len(tallies), max(map(len, tallies), default=1)
+    return best, None if key is None else (len(parts) - len(tallies), tallies), spent
+
+
+def _colors_used(sub: Graph, colors: list[int], bad: int, used: int) -> int:
+    return used
+
+
+def _count(
+    g: Graph, k: int, rule: RuleMode, surjective: bool, budget: int, leaf: Callable[..., int] | None = None
+) -> tuple[int, int, int]:
+    """The minimum, the labeled optima and the placements spent: each
+    component's census tallies its canonical optima by the colors they use,
+    combined by inclusion-exclusion (see the module docstring)."""
+    _check_instance(g, k, surjective)
+    if surjective and k * g.n > budget:
+        raise SizeLimitError(f"a surjective count sums {k} terms over {g.n} vertices, past the work budget of {budget}")
+    best, (isolated, census), spent = _optimum(g, k, rule, surjective, budget, leaf, _colors_used)
     # Under the one-class rule the dirty components share one color (see the module docstring).
+    dirty = sum(found > 0 for found, _ in census)
     shared = max(dirty - 1, 0) if rule is RuleMode.ONE_CLASS else 0
 
     def within(s: int) -> int:  # the labeled optima whose colors lie in a fixed set of s colors
-        perm = list(itertools.accumulate(range(s, s - width + 1, -1), operator.mul, initial=1))
-        return s**isolated * math.prod(sum(map(operator.mul, a, perm)) for a in tallies) // s**shared
+        optima = (sum(a * math.perm(s, j) for j, a in seen.items()) for _, seen in census)
+        return s**isolated * math.prod(optima) // s**shared
 
     if not surjective:
         return best, within(k), spent
@@ -494,7 +520,11 @@ def _solve(
         witness.append(tuple(colors))
         return -1
 
-    best, optimal_count, spent = _optimum(g, k, rule, surjective, budget, first, count)
+    if count:
+        best, optimal_count, spent = _count(g, k, rule, surjective, budget, first)
+    else:
+        best, _, spent = _optimum(g, k, rule, surjective, budget, first)
+        optimal_count = None
     return SolveResult(best, Coloring(witness[0], k), rule, surjective, optimal_count), spent
 
 
@@ -506,12 +536,10 @@ def count_optimal(
 ) -> int:
     """Number of distinct labeled valid colorings achieving the minimum.
 
-    Runs each component's bound phase and count search on the default work
-    budget, but no witness walk: nothing reads the witness.
+    Runs each component's census on the default work budget, but no
+    witness walk: nothing reads the witness.
     """
-    count = _optimum(g, k, RuleMode(rule), surjective, DEFAULT_WORK_BUDGET, None, True)[1]
-    assert count is not None
-    return count
+    return _count(g, k, RuleMode(rule), surjective, DEFAULT_WORK_BUDGET)[1]
 
 
 def optimal_colorings(
@@ -540,17 +568,70 @@ def optimal_colorings(
         yield Coloring(assign, k)
 
 
+def _minimum(g: Graph, k: int, rule: RuleMode) -> int:
+    """Minimum bad-edge count, surjective exactly when k <= n, on the default
+    work budget; no witness walk runs, since nothing reads the witness."""
+    return _optimum(g, k, rule, k <= g.n, DEFAULT_WORK_BUDGET)[0]
+
+
 def _class_sizes(g: Graph, k: int, rule: RuleMode) -> tuple[int, set[tuple[int, ...]]]:
     """Minimum bad-edge count and the ascending class sizes (0 for an unused
-    color) of every optimal coloring, surjective exactly when k <= n, from
-    one walk over the canonical optima: renaming colors keeps the sizes."""
-    sizes: set[tuple[int, ...]] = set()
+    color) of every optimal coloring, surjective exactly when k <= n.
 
-    def tally(colors: list[int], bad: int, used: int) -> int:
-        sizes.add(tuple(sorted(map(colors.count, range(1, k + 1)))))
-        return bad
+    Each component's census records its canonical optima by class sizes per
+    canonical color and, under the one-class rule, dirty color.  A connected
+    g with an edge gives its sizes directly.  Otherwise the components, an
+    isolated vertex being one class of size 1, are merged one at a time over
+    the namings of their colors (``_name``), the dirty classes on one shared
+    color, and with k <= n the merges with an empty class are dropped.  The
+    merged states are charged to the default work budget.
+    """
+    surjective = k <= g.n
+    one_class = rule is RuleMode.ONE_CLASS
 
-    return _optimum(g, k, rule, k <= g.n, DEFAULT_WORK_BUDGET, tally)[0], sizes
+    def profile(sub: Graph, colors: list[int], bad: int, used: int) -> tuple[tuple[int, ...], int]:
+        sizes = [0] * used
+        for c in colors:
+            sizes[c - 1] += 1
+        dirty = next(colors[u] for u, v in sub.edges if colors[u] == colors[v]) if bad and one_class else 0
+        return tuple(sizes), dirty
+
+    budget = DEFAULT_WORK_BUDGET
+    best, (isolated, census), spent = _optimum(g, k, rule, surjective, budget, None, profile)
+    if len(census) == 1 and not isolated:
+        return best, {tuple(sorted(sizes + (0,) * (k - len(sizes)))) for sizes, _ in census[0][1]}
+    states = {((0, False),) * k}
+    for options in [seen for _, seen in census] + [[((1,), 0)]] * isolated:
+        merged = set()
+        for state in states:
+            for sizes, dirty in options:
+                named = _name(state, sizes, dirty)
+                spent += len(named)
+                if spent > budget:
+                    raise SizeLimitError(f"exact search exceeds its work budget of {budget} candidate placements")
+                merged |= named
+        states = merged
+    profiles = {tuple(size for size, _ in state) for state in states}
+    return best, {p for p in profiles if not surjective or p[0]}
+
+
+def _name(state: tuple[tuple[int, bool], ...], sizes: tuple[int, ...], dirty: int) -> set[tuple[tuple[int, bool], ...]]:
+    """The states ``state`` becomes when a component whose optimum has class
+    ``sizes`` and dirty class ``dirty`` (0: none) by canonical color joins
+    it, over the injective namings of its colors.  A state gives each color
+    its (size, dirty) pair, sorted, so it stands for every renaming of its
+    colors, and free colors with equal pairs are interchangeable.  The
+    component's dirty class must take the state's dirty color, if any."""
+    shared = dirty and any(d for _, d in state)
+    partial = {(state, ())}  # (the colors still free, the colors named so far), each sorted
+    for c, size in enumerate(sizes, 1):
+        partial = {
+            (free[:i] + free[i + 1:], tuple(sorted(taken + ((old + size, d or c == dirty),))))
+            for free, taken in partial
+            for i, (old, d) in enumerate(free)
+            if not (i and free[i - 1] == free[i]) and (d or c != dirty or not shared)
+        }
+    return {tuple(sorted(free + taken)) for free, taken in partial}
 
 
 def bad_edge_vertex_cover(g: Graph, coloring: Coloring) -> tuple[int, ...]:

@@ -3,13 +3,14 @@
 import argparse
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nearcolor.cli import _HEADER, _OPERATIONS, build_parser, main, parse_family_spec
-from nearcolor.families import FAMILIES, OPERATIONS
+from nearcolor.families import FAMILIES, MAX_POLY_DIGITS, OPERATIONS
 from nearcolor.verify import SUITES, CheckRow
 from nearcolor import InvalidParameterError, complete, families, wheel
 
@@ -68,6 +69,18 @@ def test_family_and_poly_specs_are_limited_before_their_closed_forms(capsys, mon
     monkeypatch.undo()
     assert run(capsys, "family", "--family", "complete:1414", "--k", "1413")[0] == 0
     assert run(capsys, "poly", "--family", "cycle:1000000", "--lambda", "1", "--bad", "1")[0] == 0
+
+
+def test_poly_values_past_the_digit_limit_are_refused_before_they_are_computed(capsys):
+    # (10^12 - 1)^(10^6) has about 12 * 10^6 digits; its size is estimated
+    # from bit lengths, so the refusal costs nothing.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "poly", "--family", "cycle:1000000", "--lambda", "1000000000000", "--bad", "0")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert f"over the limit of {MAX_POLY_DIGITS}" in err and "--cap" not in err
+    code, _, err = run(capsys, "poly", "--family", "complete:1000", "--lambda", "10" + "0" * 400, "--k", "999")
+    assert code == 3 and f"over the limit of {MAX_POLY_DIGITS}" in err
 
 
 def test_huge_exact_values_print_in_full(tmp_path, capsys):

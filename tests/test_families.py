@@ -11,6 +11,7 @@ from nearcolor import (
     Graph,
     InvalidParameterError,
     RuleMode,
+    SizeLimitError,
     chromatic_number,
     complete,
     complete_defect_polynomial,
@@ -20,6 +21,7 @@ from nearcolor import (
     corona_formula,
     cycle,
     cycle_defect_polynomial,
+    disjoint_union,
     enumerate_oracle,
     helm_formula,
     join_bound,
@@ -31,9 +33,13 @@ from nearcolor import (
     union_bound,
     wheel_formula,
 )
+from nearcolor import solver
 from nearcolor.errors import _excerpt
 from nearcolor.families import parse_family_spec
+from nearcolor.solver import _class_sizes
 from nearcolor.verify import count_by_bad_edges, random_connected_graph
+from test_node_counts import phase
+from test_solver import random_graph
 
 
 def test_long_integers_are_excerpted_under_the_int_str_digit_limit():
@@ -275,6 +281,69 @@ def test_cross_terms_match_labelled_optima_on_seeded_pairs():
     assert min(checked.values()) > 200
 
 
+def _disconnected_graph(rng):
+    """2-3 parts of 1-3 vertices each, densely joined within, labels shuffled."""
+    edges, n = [], 0
+    for _ in range(rng.randint(2, 3)):
+        size, p = rng.randint(1, 3), rng.choice([0.5, 1.0])
+        edges += [(n + u, n + v) for u in range(size) for v in range(u + 1, size) if rng.random() < p]
+        n += size
+    label = rng.sample(range(n), n)
+    return Graph(n, tuple((label[u], label[v]) for u, v in edges))
+
+
+def test_class_sizes_of_disconnected_operands_match_labelled_optima():
+    # Each component's census is merged over the namings of its colors, the
+    # dirty classes on one shared color; an isolated vertex is one class of 1.
+    rng = random.Random(17)
+    graphs = [_disconnected_graph(rng) for _ in range(60)]
+    graphs += [disjoint_union(complete(3), complete(3))[0], disjoint_union(complete(4), Graph(2))[0]]
+    shared_dirty = 0  # one-class cases with two or more components that hold bad edges
+    for g in graphs:
+        parts = [g.induced_subgraph(part)[0] for part in g.components()]
+        assert len(parts) >= 2
+        for k in range(1, 5):
+            for rule in RuleMode:
+                best, sizes = _class_sizes(g, k, rule)
+                assert best == solve(g, k, rule, k <= g.n).min_bad
+                assert sizes == {tuple(sorted(p)) for p in _labelled_profiles(g, k, k, rule)}, (g, k, rule)
+                if rule is RuleMode.ONE_CLASS:
+                    shared_dirty += sum(solve(h, k, rule, False).min_bad > 0 for h in parts) > 1
+    assert shared_dirty > 20
+
+
+def test_class_sizes_of_a_16_16_union_fit_a_small_work_budget(monkeypatch):
+    # The census makes 1,932 (one-class) and 6,114 (unrestricted) placements
+    # and the merge makes 263 and 294 states, where a walk over the product of
+    # the two components' optima made 990,478 and 1,235,638 placements.
+    u, _ = disjoint_union(random_graph(1), random_graph(2))
+    for rule, ceiling in ((RuleMode.ONE_CLASS, 2195), (RuleMode.UNRESTRICTED, 6408)):
+        monkeypatch.setattr(solver, "DEFAULT_WORK_BUDGET", ceiling)
+        best, sizes = _class_sizes(u, 3, rule)
+        assert (best, len(sizes)) == (2, 17)
+        monkeypatch.setattr(solver, "DEFAULT_WORK_BUDGET", ceiling - 1)
+        with pytest.raises(SizeLimitError):
+            _class_sizes(u, 3, rule)
+
+
+def test_bound_reports_run_no_witness_walk(monkeypatch):
+    # The reports read only minima and class sizes, never a witness.
+    phases = set()
+    search = solver._search
+
+    def recording(*args, **kwargs):
+        phases.add(phase(*args, **kwargs))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_search", recording)
+    g, h = disjoint_union(path(3), complete(3))[0], cycle(5)
+    for rule in RuleMode:
+        for report in (union_bound(g, h, 2, rule=rule), join_bound(g, h, 2, rule=rule),
+                       corona_formula(path(2), h, 2, rule=rule)):
+            assert report.exact is not None
+    assert phases == {"bound phase", "census"}
+
+
 def test_corona_formula_reports():
     report = corona_formula(complete(1), complete(3), 3)
     assert (report.bound, report.exact, report.slack) == (1, 1, 0)
@@ -289,6 +358,9 @@ def test_corona_formula_reports():
     assert (report.bound, report.exact, report.slack) == (14, 12, 2)
     report = corona_formula(cycle(7), complete(3), 3)  # its exact search runs over the work budget
     assert (report.bound, report.exact, report.slack) == (8, None, None)
+    # No witness walk follows the exact search's bound phase, so this one fits the budget.
+    report = corona_formula(cycle(5), cycle(5), 3)
+    assert (report.bound, report.exact, report.slack) == (6, 5, 1)
     with pytest.raises(InvalidParameterError):
         corona_formula(cycle(3), complete(1), 3)  # k must stay below the corona's chromatic number
     with pytest.raises(InvalidParameterError):

@@ -182,7 +182,7 @@ def test_count_walk_matches_the_partition_oracle_on_larger_unions(g, k):
         assert min_and_count(g, k, rule, surjective) == partition_oracle(g, k, rule, surjective)
 
 
-# count_optimal runs the bound phase and the count searches but no witness walk.
+# count_optimal runs one census per component but no witness walk.
 
 
 @settings(deadline=None, max_examples=60)

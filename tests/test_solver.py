@@ -107,10 +107,10 @@ def test_count_optimal_runs_no_witness_walk(monkeypatch):
     for rule, surjective in itertools.product(RuleMode, (True, False)):
         phases.clear()
         count = count_optimal(g, 2, rule, surjective)
-        assert phases == ["bound", "count", "bound", "count"]
+        assert phases == ["census", "census"]  # one search per component, no bound phase
         phases.clear()
         assert solve(g, 2, rule, surjective, SolverConfig(count_optimal=True)).optimal_count == count
-        assert phases == ["bound", "count", "bound", "count", "witness"]
+        assert phases == ["census", "census", "witness"]
 
 
 def test_solve_agrees_with_oracle_on_seeded_instances():
@@ -285,7 +285,7 @@ def test_union_of_two_16_vertex_graphs_fits_a_small_work_budget():
 def test_union_of_two_16_vertex_graphs_counts_within_a_small_work_budget():
     # Each component is counted on its own and the counts are combined in
     # closed form, so the count does not visit the product of the two
-    # components' optima: its searches make 1,399 and 5,581 placements,
+    # components' optima: its censuses make 1,932 and 6,114 placements,
     # where walking that product in index order made 990,478 and 1,235,638.
     u, _ = disjoint_union(random_graph(1), random_graph(2))
     for rule, expect in ((RuleMode.ONE_CLASS, 40608), (RuleMode.UNRESTRICTED, 235872)):
@@ -318,7 +318,7 @@ def test_deep_searches_fit_the_interpreter_stack():
     assert solve(path(3000), 2, config=SolverConfig(work_budget=5999)).min_bad == 0
     with pytest.raises(SizeLimitError):
         solve(path(3000), 2, config=SolverConfig(work_budget=5998))
-    # A count search on one component goes as deep as that component: 3000
+    # The census of one component goes as deep as that component: 3000
     # frames on the path, 2 on each of the matching's 1500 edges.
     assert count_optimal(path(3000), 2, RuleMode.UNRESTRICTED) == 2
     assert count_optimal(matching, 2, RuleMode.ONE_CLASS, False) == 2**1500
@@ -450,12 +450,12 @@ def test_every_exact_entry_point_honours_the_cap():
 
 
 def test_one_work_budget_covers_every_search_of_a_call(monkeypatch):
-    # Counting K10 with 4 colors makes 1239 candidate placements in the bound
-    # phase, 1409 in the count search and 22 in the witness walk (up to its
-    # first leaf); the call is charged for all three.
-    assert solve(complete(10), 4, config=SolverConfig(work_budget=2670, count_optimal=True)).optimal_count == 2880
+    # Counting K10 with 4 colors makes 1409 candidate placements in the
+    # census and 22 in the witness walk (up to its first leaf); the call is
+    # charged for both.
+    assert solve(complete(10), 4, config=SolverConfig(work_budget=1431, count_optimal=True)).optimal_count == 2880
     with pytest.raises(SizeLimitError):
-        solve(complete(10), 4, config=SolverConfig(work_budget=2669, count_optimal=True))
+        solve(complete(10), 4, config=SolverConfig(work_budget=1430, count_optimal=True))
     # chi(K6) tries k = 1..6 for 56 placements in all, at most 21 for one k.
     monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 56)
     assert chromatic_number(complete(6)) == 6
