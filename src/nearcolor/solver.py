@@ -85,13 +85,14 @@ The chromatic number comes from the same kernel: it is the smallest k for
 which a search with bound 0 and surjectivity off reaches a leaf, and the
 largest over the connected components, each searched on its own.
 
-One deterministic work budget bounds every exact entry point.  Each search
-node charges the number of colors it is about to try, so the budget counts
-candidate placements; one public call shares one budget across all its
-searches and raises :class:`SizeLimitError` when it runs out.  A
-surjective count sums k terms of up to n factors each, so a count with
-k * n above the budget is refused before any search.  Results are
-deterministic.
+One deterministic work budget, a ``_Budget``, bounds each public call of
+this module across all its searches.  Each search node charges the number
+of colors it is about to try, so the budget counts candidate placements;
+running out raises :class:`SizeLimitError` with one message.  The bound
+reports of ``families`` and the rows of ``verify`` run each search on a
+fresh default budget.  A surjective count sums k terms of up to n factors
+each, so a count with k * n above the budget is refused before any search.
+Results are deterministic.
 """
 
 from __future__ import annotations
@@ -127,6 +128,22 @@ class SolverConfig(Record):
         if work_budget < 1:
             raise InvalidParameterError(f"work budget --cap must be positive, got {_excerpt(work_budget)}")
         self._set(work_budget=work_budget, count_optimal=count_optimal)
+
+
+class _Budget:
+    """Candidate placements an exact call may make (``limit``, by default
+    ``DEFAULT_WORK_BUDGET`` as it reads when built) and has made."""
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit: int | None = None) -> None:
+        self.limit = DEFAULT_WORK_BUDGET if limit is None else limit
+        self.spent = 0
+
+    def charge(self, n: int) -> None:
+        self.spent += n
+        if self.spent > self.limit:
+            raise SizeLimitError(f"exact search exceeds its work budget of {self.limit} candidate placements")
 
 
 class SolveResult(NamedTuple):
@@ -175,36 +192,29 @@ def enumerate_oracle(
         raise SizeLimitError(f"enumerating {_excerpt(k)}**{g.n} assignments exceeds cap {_excerpt(cap)}")
     edges = g.edges
     one_class = rule is RuleMode.ONE_CLASS
-    best: int | None = None
+    best = len(edges)  # no assignment has more bad edges
     count = 0
     witness: tuple[int, ...] | None = None
     for assign in itertools.product(range(1, k + 1), repeat=g.n):
         if surjective and len(set(assign)) != k:
             continue
         bad = 0
-        if best is None:
-            for u, v in edges:
-                if assign[u] == assign[v]:
-                    bad += 1
-        else:
-            over = False
-            for u, v in edges:
-                if assign[u] == assign[v]:
-                    bad += 1
-                    if bad > best:
-                        over = True
-                        break
-            if over:
-                continue
+        for u, v in edges:
+            if assign[u] == assign[v]:
+                bad += 1
+                if bad > best:
+                    break
+        if bad > best:
+            continue
         if one_class:
             touched = {assign[u] for u, v in edges if assign[u] == assign[v]}
             if len(touched) > 1:
                 continue
-        if best is None or bad < best:
+        if witness is None or bad < best:
             best, count, witness = bad, 1, assign
         elif bad == best:
             count += 1
-    if witness is None or best is None:
+    if witness is None:
         raise InfeasibleError("no valid coloring exists for this instance")
     return SolveResult(
         min_bad=best,
@@ -223,10 +233,9 @@ def _search(
     order: Sequence[int],
     bound: int,
     leaf: Callable[[list[int], int, int], int],
-    budget: int,
-    spent: int,
+    budget: _Budget,
     drop: Sequence[int] | None = None,
-) -> int:
+) -> None:
     """DFS over canonical assignments, vertices in ``order`` and colors ascending.
 
     A vertex takes only colors ``<= used + 1``, where ``used`` counts the
@@ -260,9 +269,9 @@ def _search(
     leaf's return value is the new bound; a negative bound cuts every
     remaining branch.
 
-    Each node adds the number of colors it tries to ``spent``, the candidate
-    placements made so far by the calling entry point; past ``budget`` the
-    search raises :class:`SizeLimitError`.  Returns the new ``spent``.
+    Each node counts the colors it tries against the room left in ``budget``;
+    past it the search charges them all, which raises :class:`SizeLimitError`,
+    and otherwise charges them once it ends.
 
     The DFS goes one Python frame deeper per vertex, so the interpreter's
     recursion limit is raised by n for the duration of the search.
@@ -283,6 +292,7 @@ def _search(
     # above every count, so ``x not in cnt[w]`` asks whether no color holds x.
     cnt = [[n + 1] + [0] * width for _ in range(n)]
     low = [0] * n  # low[w] = min over colors c of cnt[w][c]
+    spent, room = 0, budget.limit - budget.spent
 
     def dfs(i: int, bad: int, used: int, dirty: int, lb: int) -> None:
         # ``dirty`` is the one class allowed to hold a bad edge; 0 = none yet.
@@ -296,8 +306,8 @@ def _search(
             return
         top = used + 1 if used < k else k
         spent += top
-        if spent > budget:
-            raise SizeLimitError(f"exact search exceeds its work budget of {budget} candidate placements")
+        if spent > room:
+            budget.charge(spent)
         v = order[i]
         row = cnt[v]
         rest = lb - low[v] - drop[i]
@@ -336,7 +346,7 @@ def _search(
         dfs(0, 0, 0, 0, sum(drop))
     finally:
         sys.setrecursionlimit(limit)
-    return spent
+    budget.charge(spent)
 
 
 def _degree_order(g: Graph) -> list[int]:
@@ -348,10 +358,10 @@ def _optimum(
     k: int,
     rule: RuleMode,
     surjective: bool,
-    budget: int,
+    budget: _Budget,
     leaf: Callable[[list[int], int, int], int] | None = None,
     key: Callable[[Graph, list[int], int, int], Hashable] | None = None,
-) -> tuple[int, tuple[int, list[tuple[int, Counter[Hashable]]]] | None, int]:
+) -> tuple[int, tuple[int, list[tuple[int, Counter[Hashable]]]] | None]:
     """Proven minimum bad-edge count; ``leaf`` sees the canonical optima in order.
 
     Rejects the instance if it is invalid.  Each connected component with an
@@ -369,10 +379,10 @@ def _optimum(
     minimum of g as a fixed bound and each component's minimum as ``drop``
     at its first vertex, so every leaf it reaches is optimal; ``leaf``
     returns that bound to go on, or -1 to stop.  Without ``leaf`` no witness
-    walk runs.  All searches draw on one work budget.  Returns the minimum,
-    the census (None without ``key``) and the placements spent.  The census
-    is the number of isolated vertices and, per component with an edge, its
-    minimum and a ``Counter`` of the keys of its canonical optima.
+    walk runs.  All searches draw on ``budget``.  Returns the minimum and
+    the census (None without ``key``).  The census is the number of
+    isolated vertices and, per component with an edge, its minimum and a
+    ``Counter`` of the keys of its canonical optima.
     """
     _check_instance(g, k, surjective)
     parts = g.components()
@@ -392,38 +402,34 @@ def _optimum(
         seen[key(sub, colors, bad, used)] += 1
         return bad
 
-    spent = 0
     whole = surjective and len(parts) == 1
     for part, sub in _split(g, parts):
         order = _degree_order(sub)
         found, _ = _greedy(sub, k, rule, False, order)
         if key is not None:
             seen: Counter[Hashable] = Counter()
-            spent = _search(sub, k, rule, whole, order, found, census, budget, spent)
+            _search(sub, k, rule, whole, order, found, census, budget)
             tallies.append((found, seen))
         elif found:
-            spent = _search(sub, k, rule, whole, order, found - 1, improve, budget, spent)
+            _search(sub, k, rule, whole, order, found - 1, improve, budget)
         drop[part[0]] = found
     best = sum(drop)
     if leaf is not None:
-        spent = _search(g, k, rule, surjective, range(g.n), best, leaf, budget, spent, drop)
-    return best, None if key is None else (len(parts) - len(tallies), tallies), spent
-
-
-def _colors_used(sub: Graph, colors: list[int], bad: int, used: int) -> int:
-    return used
+        _search(g, k, rule, surjective, range(g.n), best, leaf, budget, drop)
+    return best, None if key is None else (len(parts) - len(tallies), tallies)
 
 
 def _count(
-    g: Graph, k: int, rule: RuleMode, surjective: bool, budget: int, leaf: Callable[..., int] | None = None
-) -> tuple[int, int, int]:
-    """The minimum, the labeled optima and the placements spent: each
-    component's census tallies its canonical optima by the colors they use,
-    combined by inclusion-exclusion (see the module docstring)."""
+    g: Graph, k: int, rule: RuleMode, surjective: bool, budget: _Budget, leaf: Callable[..., int] | None = None
+) -> tuple[int, int]:
+    """The minimum and the labeled optima: each component's census tallies
+    its canonical optima by the colors they use, combined by
+    inclusion-exclusion (see the module docstring)."""
     _check_instance(g, k, surjective)
-    if surjective and k * g.n > budget:
-        raise SizeLimitError(f"a surjective count sums {k} terms over {g.n} vertices, past the work budget of {budget}")
-    best, (isolated, census), spent = _optimum(g, k, rule, surjective, budget, leaf, _colors_used)
+    if surjective and k * g.n > budget.limit:
+        raise SizeLimitError(f"a surjective count sums {k} terms over {g.n} vertices, "
+                             f"past the work budget of {budget.limit}")
+    best, (isolated, census) = _optimum(g, k, rule, surjective, budget, leaf, lambda sub, colors, bad, used: used)
     # Under the one-class rule the dirty components share one color (see the module docstring).
     dirty = sum(found > 0 for found, _ in census)
     shared = max(dirty - 1, 0) if rule is RuleMode.ONE_CLASS else 0
@@ -433,8 +439,8 @@ def _count(
         return s**isolated * math.prod(optima) // s**shared
 
     if not surjective:
-        return best, within(k), spent
-    return best, sum((-1) ** (k - s) * math.comb(k, s) * within(s) for s in range(1, k + 1)), spent
+        return best, within(k)
+    return best, sum((-1) ** (k - s) * math.comb(k, s) * within(s) for s in range(1, k + 1))
 
 
 def _split(g: Graph, parts: list[list[int]]) -> list[tuple[list[int], Graph]]:
@@ -468,12 +474,11 @@ def chromatic_number(g: Graph) -> int:
     """
     if g.n < 1:
         raise InvalidParameterError("chromatic number needs at least one vertex")
-    return _chromatic(g, DEFAULT_WORK_BUDGET, 0)[0]
+    return _chromatic(g, _Budget())
 
 
-def _chromatic(g: Graph, budget: int, spent: int) -> tuple[int, int]:
-    """``chromatic_number`` on a budget of which ``spent`` placements are
-    used; also returns the placements spent in all."""
+def _chromatic(g: Graph, budget: _Budget) -> int:
+    """``chromatic_number`` on ``budget``."""
 
     def proper(colors: list[int], bad: int, used: int) -> int:
         nonlocal found
@@ -485,11 +490,11 @@ def _chromatic(g: Graph, budget: int, spent: int) -> tuple[int, int]:
         order = _degree_order(sub)
         found = False
         while True:
-            spent = _search(sub, k, RuleMode.UNRESTRICTED, False, order, 0, proper, budget, spent)
+            _search(sub, k, RuleMode.UNRESTRICTED, False, order, 0, proper, budget)
             if found:
                 break
             k += 1
-    return k, spent
+    return k
 
 
 def solve(
@@ -507,13 +512,11 @@ def solve(
     those).
     """
     cfg = config or SolverConfig()
-    return _solve(g, k, RuleMode(rule), surjective, cfg.work_budget, cfg.count_optimal)[0]
+    return _solve(g, k, RuleMode(rule), surjective, _Budget(cfg.work_budget), cfg.count_optimal)
 
 
-def _solve(
-    g: Graph, k: int, rule: RuleMode, surjective: bool, budget: int, count: bool = False
-) -> tuple[SolveResult, int]:
-    """``solve`` on one budget; also returns the placements spent."""
+def _solve(g: Graph, k: int, rule: RuleMode, surjective: bool, budget: _Budget, count: bool = False) -> SolveResult:
+    """``solve`` on ``budget``."""
     witness: list[tuple[int, ...]] = []
 
     def first(colors: list[int], bad: int, used: int) -> int:
@@ -521,11 +524,11 @@ def _solve(
         return -1
 
     if count:
-        best, optimal_count, spent = _count(g, k, rule, surjective, budget, first)
+        best, optimal_count = _count(g, k, rule, surjective, budget, first)
     else:
-        best, _, spent = _optimum(g, k, rule, surjective, budget, first)
+        best, _ = _optimum(g, k, rule, surjective, budget, first)
         optimal_count = None
-    return SolveResult(best, Coloring(witness[0], k), rule, surjective, optimal_count), spent
+    return SolveResult(best, Coloring(witness[0], k), rule, surjective, optimal_count)
 
 
 def count_optimal(
@@ -539,7 +542,7 @@ def count_optimal(
     Runs each component's census on the default work budget, but no
     witness walk: nothing reads the witness.
     """
-    return _count(g, k, RuleMode(rule), surjective, DEFAULT_WORK_BUDGET)[1]
+    return _count(g, k, RuleMode(rule), surjective, _Budget())[1]
 
 
 def optimal_colorings(
@@ -562,7 +565,7 @@ def optimal_colorings(
             optima.append(tuple(names[c - 1] for c in colors))
         return bad
 
-    _optimum(g, k, RuleMode(rule), surjective, DEFAULT_WORK_BUDGET, collect)
+    _optimum(g, k, RuleMode(rule), surjective, _Budget(), collect)
     optima.sort()
     for assign in optima:
         yield Coloring(assign, k)
@@ -571,7 +574,7 @@ def optimal_colorings(
 def _minimum(g: Graph, k: int, rule: RuleMode) -> int:
     """Minimum bad-edge count, surjective exactly when k <= n, on the default
     work budget; no witness walk runs, since nothing reads the witness."""
-    return _optimum(g, k, rule, k <= g.n, DEFAULT_WORK_BUDGET)[0]
+    return _optimum(g, k, rule, k <= g.n, _Budget())[0]
 
 
 def _class_sizes(g: Graph, k: int, rule: RuleMode) -> tuple[int, set[tuple[int, ...]]]:
@@ -596,8 +599,8 @@ def _class_sizes(g: Graph, k: int, rule: RuleMode) -> tuple[int, set[tuple[int, 
         dirty = next(colors[u] for u, v in sub.edges if colors[u] == colors[v]) if bad and one_class else 0
         return tuple(sizes), dirty
 
-    budget = DEFAULT_WORK_BUDGET
-    best, (isolated, census), spent = _optimum(g, k, rule, surjective, budget, None, profile)
+    budget = _Budget()
+    best, (isolated, census) = _optimum(g, k, rule, surjective, budget, None, profile)
     if len(census) == 1 and not isolated:
         return best, {tuple(sorted(sizes + (0,) * (k - len(sizes)))) for sizes, _ in census[0][1]}
     states = {((0, False),) * k}
@@ -606,9 +609,7 @@ def _class_sizes(g: Graph, k: int, rule: RuleMode) -> tuple[int, set[tuple[int, 
         for state in states:
             for sizes, dirty in options:
                 named = _name(state, sizes, dirty)
-                spent += len(named)
-                if spent > budget:
-                    raise SizeLimitError(f"exact search exceeds its work budget of {budget} candidate placements")
+                budget.charge(len(named))
                 merged |= named
         states = merged
     profiles = {tuple(size for size, _ in state) for state in states}
@@ -643,24 +644,21 @@ def bad_edge_vertex_cover(g: Graph, coloring: Coloring) -> tuple[int, ...]:
     the scan raises :class:`SizeLimitError`.  The scan grows as
     2^(bad-edge endpoints).
     """
-    return _cover(bad_edges(g, coloring).edges, DEFAULT_WORK_BUDGET, 0)[0]
+    return _cover(bad_edges(g, coloring).edges, _Budget())
 
 
-def _cover(bad: tuple[Edge, ...], budget: int, spent: int) -> tuple[tuple[int, ...], int]:
-    """``bad_edge_vertex_cover`` of the edges ``bad`` on a budget of which
-    ``spent`` is used; also returns the budget spent in all."""
+def _cover(bad: tuple[Edge, ...], budget: _Budget) -> tuple[int, ...]:
+    """``bad_edge_vertex_cover`` of the edges ``bad`` on ``budget``."""
     if not bad:
-        return (), spent
+        return ()
     verts = sorted({x for e in bad for x in e})
     for size in range(1, len(verts) + 1):
         for subset in itertools.combinations(verts, size):
-            spent += len(bad)
-            if spent > budget:
-                raise SizeLimitError(f"vertex cover scan exceeds its work budget of {budget}")
+            budget.charge(len(bad))
             chosen = set(subset)
             if all(u in chosen or v in chosen for u, v in bad):
-                return subset, spent
-    return tuple(verts), spent  # pragma: no cover - all endpoints always cover
+                return subset
+    return tuple(verts)  # pragma: no cover - all endpoints always cover
 
 
 class KChromaticSubgraph(NamedTuple):
@@ -692,14 +690,15 @@ def k_chromatic_subgraph(
     rule = RuleMode(rule)
     if not 1 <= k < g.n:
         raise InvalidParameterError(f"k must satisfy 1 <= k < n ({g.n}), got {_excerpt(k)}")
-    result, spent = _solve(g, k, rule, True, DEFAULT_WORK_BUDGET)
+    budget = _Budget()
+    result = _solve(g, k, rule, True, budget)
     # For k <= n, some surjective k-coloring is proper exactly when k >= chi.
     if result.min_bad == 0:
         raise InvalidParameterError(f"k must stay below the chromatic number, got {_excerpt(k)}")
-    cover, spent = _cover(bad_edges(g, result.witness).edges, DEFAULT_WORK_BUDGET, spent)
+    cover = _cover(bad_edges(g, result.witness).edges, budget)
     removed = set(cover)
     sub, kept = g.induced_subgraph(v for v in range(g.n) if v not in removed)
-    chi_sub, _ = _chromatic(sub, DEFAULT_WORK_BUDGET, spent)
+    chi_sub = _chromatic(sub, budget)
     return KChromaticSubgraph(
         subgraph=sub,
         kept_vertices=kept,

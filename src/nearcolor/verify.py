@@ -28,7 +28,7 @@ from .families import (
     union_bound,
 )
 from .graph import Graph, complete, cycle, join, path
-from .solver import DEFAULT_WORK_BUDGET, _count, _minimum, _search
+from .solver import DEFAULT_WORK_BUDGET, _Budget, _count, _minimum, _search
 
 STATUS_MATCH = "match"
 STATUS_MISMATCH = "mismatch"
@@ -73,7 +73,7 @@ def count_by_bad_edges(g: Graph, colors: int) -> list[int]:
         hist[bad] += math.perm(colors, used)
         return g.m
 
-    _search(g, colors, RuleMode.UNRESTRICTED, False, range(g.n), g.m, tally, DEFAULT_WORK_BUDGET, 0)
+    _search(g, colors, RuleMode.UNRESTRICTED, False, range(g.n), g.m, tally, _Budget(DEFAULT_WORK_BUDGET))
     return hist
 
 
@@ -90,7 +90,7 @@ def count_single_big_class_assignments(n: int, k: int, colors: int) -> int:
             total += math.perm(colors, k)
         return 0
 
-    _search(Graph(n), colors, RuleMode.UNRESTRICTED, False, range(n), 0, tally, DEFAULT_WORK_BUDGET, 0)
+    _search(Graph(n), colors, RuleMode.UNRESTRICTED, False, range(n), 0, tally, _Budget(DEFAULT_WORK_BUDGET))
     return total
 
 
@@ -106,7 +106,7 @@ def _family_row(label: str, name: str, n: int, k: int, check_count: bool = True)
     want_count = check_count and claim.count is not None
     g = FAMILIES[name].build(n)
     if want_count:
-        best, count, _ = _count(g, k, RuleMode.ONE_CLASS, True, DEFAULT_WORK_BUDGET)
+        best, count = _count(g, k, RuleMode.ONE_CLASS, True, _Budget(DEFAULT_WORK_BUDGET))
     else:
         best = _minimum(g, k, RuleMode.ONE_CLASS)
     claimed, computed = f"min={claim.min_bad}", f"min={best}"

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from nearcolor.cli import _HEADER, _OPERATIONS, build_parser, main, parse_family_spec
-from nearcolor.families import FAMILIES, MAX_POLY_DIGITS, OPERATIONS
+from nearcolor.cli import _HEADER, _OPERATIONS, build_parser, main
+from nearcolor.families import FAMILIES, MAX_POLY_DIGITS, OPERATIONS, parse_family_spec
 from nearcolor.verify import SUITES, CheckRow
 from nearcolor import InvalidParameterError, complete, families, wheel
 

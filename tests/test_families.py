@@ -322,7 +322,7 @@ def test_class_sizes_of_a_16_16_union_fit_a_small_work_budget(monkeypatch):
         best, sizes = _class_sizes(u, 3, rule)
         assert (best, len(sizes)) == (2, 17)
         monkeypatch.setattr(solver, "DEFAULT_WORK_BUDGET", ceiling - 1)
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match=f"exceeds its work budget of {ceiling - 1} candidate placements"):
             _class_sizes(u, 3, rule)
 
 

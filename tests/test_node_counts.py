@@ -49,7 +49,7 @@ def replay(cell, v):
     return None if all(getattr(report, f) == want for f, want in v["report"].items()) else v["id"]
 
 
-def phase(g, k, rule, surjective, order, bound, leaf, budget, spent, drop=None):
+def phase(g, k, rule, surjective, order, bound, leaf, budget, drop=None):
     """The phase of one ``solver._search`` call: the census has a leaf of its own."""
     return "census" if leaf.__name__ == "census" else "bound phase" if drop is None else "witness walk"
 
@@ -60,9 +60,10 @@ def test_golden_placements_stay_under_their_ceiling(workload, monkeypatch):
     search = solver._search
 
     def counting(*args, **kwargs):
-        out = search(*args, **kwargs)
-        spent_in[phase(*args, **kwargs)] += out - args[8]
-        return out
+        budget = args[7]
+        before = budget.spent
+        search(*args, **kwargs)
+        spent_in[phase(*args, **kwargs)] += budget.spent - before
 
     monkeypatch.setattr(solver, "_search", counting)
     cells = json.loads((GOLDEN / f"{workload}.json").read_text(encoding="utf-8"))["cells"]

@@ -500,7 +500,7 @@ def test_bad_edge_vertex_cover_honours_the_work_budget(monkeypatch):
     monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 12)
     assert bad_edge_vertex_cover(k4, coloring) == (0, 1)
     monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 11)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="exceeds its work budget of 11 candidate placements"):
         bad_edge_vertex_cover(k4, coloring)
     monkeypatch.undo()
     # R22 with one color: 98 bad edges over 22 endpoints, cover 17; the full
