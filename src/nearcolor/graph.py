@@ -30,6 +30,11 @@ def _normalized(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _check_vertex_limit(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise InvalidParameterError(f"vertex count {_excerpt(n)} exceeds the limit of {MAX_VERTICES}")
+
+
 def _adjacency(n: int, edges: tuple[Edge, ...]) -> tuple[frozenset[int], ...]:
     # Only vertices with edges get a set of their own; isolated ones share one.
     neighbors: dict[int, set[int]] = {}
@@ -60,8 +65,7 @@ class Graph(Record):
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if not isinstance(n, int) or n < 0:
             raise InvalidParameterError(f"vertex count must be a non-negative integer, got {_excerpt(n)}")
-        if n > MAX_VERTICES:
-            raise InvalidParameterError(f"vertex count {_excerpt(n)} exceeds the limit of {MAX_VERTICES}")
+        _check_vertex_limit(n)
         seen: set[Edge] = set()
         for e in edges:
             u, v = e
@@ -85,7 +89,9 @@ class Graph(Record):
     @classmethod
     def _unchecked(cls, n: int, edges: tuple[Edge, ...]) -> "Graph":
         """A graph on ``edges`` that the caller knows to be normalized,
-        sorted, distinct and in range, built without ``__init__``'s checks."""
+        sorted, distinct and in range, built without ``__init__``'s edge
+        checks; only the vertex limit is checked."""
+        _check_vertex_limit(n)
         g = object.__new__(cls)
         g._set(n=n, edges=edges, adj=_adjacency(n, edges))
         return g
@@ -195,21 +201,26 @@ def complete(n: int) -> Graph:
 # Graph operations
 # ---------------------------------------------------------------------------
 
-def disjoint_union(g: Graph, h: Graph) -> tuple[Graph, dict[str, int]]:
-    """Vertex-disjoint union; g keeps indices 0..n_g-1, h is shifted by n_g."""
-    edges = list(g.edges)
-    edges += [(u + g.n, v + g.n) for u, v in h.edges]
+def _sides(g: Graph, h: Graph) -> dict[str, int]:
+    """The roles of g's vertices, kept, and of h's, shifted by n_g."""
     roles = {f"G[{i}]": i for i in range(g.n)}
     roles.update({f"H[{j}]": g.n + j for j in range(h.n)})
-    return Graph(g.n + h.n, tuple(edges)), roles
+    return roles
+
+
+def disjoint_union(g: Graph, h: Graph) -> tuple[Graph, dict[str, int]]:
+    """Vertex-disjoint union; g keeps indices 0..n_g-1, h is shifted by n_g."""
+    # h's shifted edges all sort after g's, so the concatenation stays sorted.
+    edges = g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges)
+    return Graph._unchecked(g.n + h.n, edges), _sides(g, h)
 
 
 def join(g: Graph, h: Graph) -> tuple[Graph, dict[str, int]]:
     """Disjoint union plus every edge between the two sides."""
-    base, roles = disjoint_union(g, h)
-    edges = list(base.edges)
+    edges = list(g.edges)
+    edges += [(u + g.n, v + g.n) for u, v in h.edges]
     edges += [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
-    return Graph(base.n, tuple(edges)), roles
+    return Graph._unchecked(g.n + h.n, tuple(sorted(edges))), _sides(g, h)
 
 
 def corona(g: Graph, h: Graph) -> tuple[Graph, dict[str, int]]:
@@ -225,4 +236,4 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, dict[str, int]]:
         edges += [(offset + u, offset + v) for u, v in h.edges]
         edges += [(i, offset + u) for u in range(h.n)]
         roles.update({f"H[{i}][{j}]": offset + j for j in range(h.n)})
-    return Graph(g.n + g.n * h.n, tuple(edges)), roles
+    return Graph._unchecked(g.n + g.n * h.n, tuple(sorted(edges))), roles

@@ -194,6 +194,27 @@ def test_corona_edge_count_formula_random_pairs():
         assert c.is_connected() == g.is_connected()
 
 
+def test_operations_build_the_graph_their_edges_describe():
+    # The operations skip Graph's edge checks; each result must be the graph
+    # that a checked build of its own edges gives.
+    rng = random.Random(23)
+    operands = [Graph(0), Graph(1), Graph(3), path(2)]
+    for _ in range(12):
+        n = rng.randint(1, 6)
+        operands.append(Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5)))
+    for op in (disjoint_union, join, corona):
+        for g in operands:
+            for h in rng.sample(operands, 5) + [Graph(0)]:
+                built, _ = op(g, h)
+                checked = Graph(built.n, built.edges)
+                assert (built.n, built.edges, built.adj) == (checked.n, checked.edges, checked.adj)
+
+
+def test_operations_keep_the_vertex_limit():
+    with pytest.raises(InvalidParameterError, match="vertex count 1000001 exceeds the limit of 1000000"):
+        disjoint_union(Graph(10**6), Graph(1))
+
+
 def test_role_maps_are_bijections_onto_the_vertices():
     operands = [(path(2), cycle(5)), (complete(1), complete(3)), (wheel(4)[0], path(3)), (Graph(0), cycle(3))]
     built = [wheel(n) for n in range(3, 7)] + [helm(n) for n in range(3, 7)]

@@ -26,7 +26,7 @@ from nearcolor import solver
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 PLACEMENTS = {
-    "solve-connected": {"bound phase": 115_213, "witness walk": 175_610},
+    "solve-connected": {"bound phase": 115_213, "witness walk": 135_407},
     "count-union": {"bound phase": 9_806, "census": 16_364},
 }
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -273,13 +274,98 @@ def random_graph(seed, n=16, p=0.3):
 def test_union_of_two_16_vertex_graphs_fits_a_small_work_budget():
     # Counting each unentered component at its minimum keeps the index-order
     # walk small; a walk bounded by placed neighbours alone makes 617,847.
-    # The seeded bound phases make 151 placements and the walk 456.
+    # The seeded bound phases make 151 placements and the walk 345, down
+    # from 456 before the walk's clique credit.
     g, h = random_graph(1), random_graph(2)
     assert union_bound(g, h, 3).exact == 2
     u, _ = disjoint_union(g, h)
-    assert solve(u, 3, config=SolverConfig(work_budget=607)).min_bad == 2
+    assert solve(u, 3, config=SolverConfig(work_budget=496)).min_bad == 2
     with pytest.raises(SizeLimitError):
-        solve(u, 3, config=SolverConfig(work_budget=606))
+        solve(u, 3, config=SolverConfig(work_budget=495))
+
+
+def credit_instances():
+    """Seeded graphs on 6 to 8 vertices with each component's minimum under
+    ``rule`` as ``drop`` at its first vertex, for k = 1..3: unions of dense
+    parts, with several (k + 1)-cliques, and of isolated vertices."""
+    rng = random.Random(47)
+    for _ in range(40):
+        g = Graph(0)
+        while g.n < 6:
+            n = rng.choice((1, 3, 5, 7, 8))
+            part = Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.7))
+            g, _ = disjoint_union(g, part)
+        if g.n > 8:
+            continue
+        parts = g.components()
+        for k in (1, 2, 3):
+            for rule in RuleMode:
+                for surjective in (True, False):
+                    whole = surjective and len(parts) == 1
+                    drop = [0] * g.n
+                    for part in parts:
+                        sub, _ = g.induced_subgraph(part)
+                        drop[part[0]] = enumerate_oracle(sub, k, rule, whole).min_bad if sub.m else 0
+                    if sum(drop) and k <= g.n:
+                        yield g, k, rule, surjective, parts, drop
+
+
+def test_clique_credit_keeps_each_minimum_and_is_admissible():
+    moved = 0
+    for g, k, _, _, parts, drop in credit_instances():
+        credited = list(drop)
+        solver._cliques(g, k, parts, credited)
+        assert min(credited) >= 0
+        for part in parts:
+            f = part[0]
+            assert sum(credited[v] for v in part) == drop[f]
+            for i in part[1:]:
+                suffix = [v for v in part if v >= i]
+                sub, _ = g.induced_subgraph(suffix)
+                floor = enumerate_oracle(sub, k, RuleMode.UNRESTRICTED, False).min_bad
+                assert sum(credited[v] for v in suffix) <= floor
+                moved += credited[i] > 0
+    assert moved > 50  # positions that the credit reaches
+
+
+def test_clique_credit_reaches_the_same_first_leaf_in_fewer_placements():
+    fewer = 0
+    for g, k, rule, surjective, parts, drop in credit_instances():
+        credited = list(drop)
+        solver._cliques(g, k, parts, credited)
+        walks = []
+        for d in (drop, credited):
+            budget, first = solver._Budget(), []
+
+            def leaf(colors, bad, used):
+                first.append((tuple(colors), bad))
+                return -1
+
+            solver._search(g, k, rule, surjective, range(g.n), sum(drop), leaf, budget, d)
+            walks.append((first, budget.spent))
+        (plain, plain_spent), (fast, fast_spent) = walks
+        assert fast == plain and len(plain) == 1
+        assert fast_spent <= plain_spent
+        fewer += fast_spent < plain_spent
+    assert fewer > 20
+
+
+def test_clique_credit_stays_linear_on_large_sparse_graphs():
+    # The walk meets a path's minimum at k = 1 in about n placements, so the
+    # credit set-up must cost no more than that: masks indexed by vertex
+    # number would hold about n^2 / 16 bytes, 625 MB at this size.
+    assert solve(path(100_000), 1).min_bad == 99_999
+    # The packing's memory stays linear too, also when every edge reaches
+    # the last vertex, where vertex-indexed masks would hold 25-50 MB.
+    n = 20_000
+    for g in (path(n), Graph(n, tuple((v, n - 1) for v in range(n - 1)))):
+        parts, drop = g.components(), [n - 1] + [0] * (n - 1)
+        tracemalloc.start()
+        solver._cliques(g, 1, parts, drop)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 600 * n
+        assert drop[0] == 1 and sum(drop) == n - 1
 
 
 def test_union_of_two_16_vertex_graphs_counts_within_a_small_work_budget():
