@@ -26,7 +26,7 @@ _SOURCES = {
     "graph": ("Graph", "complete", "corona", "cycle", "disjoint_union", "helm", "join", "path", "wheel"),
     "io": ("load_graph", "parse_dimacs", "parse_edge_list", "parse_graph", "write_dot", "write_edge_list"),
     "solver": (
-        "KChromaticSubgraph", "SolveResult", "SolverConfig", "bad_edge_vertex_cover", "chromatic_number",
+        "KChromaticSubgraph", "SolveResult", "bad_edge_vertex_cover", "chromatic_number",
         "count_optimal", "enumerate_oracle", "greedy_heuristic", "k_chromatic_subgraph",
         "optimal_colorings", "solve",
     ),

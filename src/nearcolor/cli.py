@@ -23,15 +23,15 @@ from .errors import (
 )
 from .graph import Graph
 from .io import load_graph, write_dot, write_edge_list
-from .solver import DEFAULT_WORK_BUDGET, SolverConfig, greedy_heuristic, solve
+from .solver import DEFAULT_WORK_BUDGET, _Budget, greedy_heuristic, solve
 
 # ``families`` (family specs, ``--op``) and ``verify`` are imported only by
 # the commands that use them: without a bytecode cache every module a run
-# imports is compiled again, so each one adds to start-up.  Hence the keys
-# of ``families.OPERATIONS``, the fields of ``verify.CheckRow`` and the
-# ``--suite`` names (``verify.SUITES``) are written out here, in order.
+# imports is compiled again, so each one adds to start-up.  The parser needs
+# the keys of ``families.OPERATIONS`` and the ``--suite`` names
+# (``verify.SUITES``) before any command runs, so they are written out in
+# this module, in order.
 _OPERATIONS = ("union", "join", "corona")
-_HEADER = ("case", "params", "claimed", "computed", "status")
 
 
 def __getattr__(name: str):
@@ -165,13 +165,13 @@ def _cmd_solve(args: argparse.Namespace, counting: bool) -> int:
     g = _load_input(args)
     rule = RuleMode(args.rule)
     surjective = not args.allow_unused
-    config = SolverConfig(work_budget=args.cap, count_optimal=counting)
+    _Budget(args.cap)  # refuses a non-positive --cap, with --heuristic too
     start = time.perf_counter()
     if getattr(args, "heuristic", False):
         result = greedy_heuristic(g, args.k, rule, surjective)
         print("note: heuristic result; bad-edge count is an upper bound, not exact", file=sys.stderr)
     else:
-        result = solve(g, args.k, rule, surjective, config)
+        result = solve(g, args.k, rule, surjective, work_budget=args.cap, count_optimal=counting)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
     if result.min_bad == 0:
         # A coloring with no bad edge is proper, so k is at least the chromatic number.
@@ -241,7 +241,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import SUITES, has_hard_mismatch, run_suites
+    from .verify import SUITES, CheckRow, has_hard_mismatch, run_suites
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
     print(f"seed: {args.seed}")
@@ -249,8 +249,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps([row._asdict() for row in rows]))
     else:
-        widths = [max(map(len, column)) for column in zip(_HEADER, *rows)]
-        for row in [_HEADER, *rows]:
+        widths = [max(map(len, column)) for column in zip(CheckRow._fields, *rows)]
+        for row in [CheckRow._fields, *rows]:
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     bad = has_hard_mismatch(rows)
     counts = {}

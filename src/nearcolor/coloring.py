@@ -24,6 +24,11 @@ class RuleMode(Enum):
     ONE_CLASS = "one-class"
     UNRESTRICTED = "unrestricted"
 
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        names = " or ".join(repr(mode.value) for mode in cls)
+        raise InvalidParameterError(f"rule must be {names}, got {_excerpt(value)}")
+
 
 class Coloring(Record):
     """Total assignment of colors 1..k to vertices 0..n-1."""

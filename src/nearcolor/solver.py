@@ -119,7 +119,6 @@ from collections import Counter
 from collections.abc import Hashable
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from ._record import Record
 from .coloring import Coloring, RuleMode, bad_edges
 from .errors import InfeasibleError, InvalidParameterError, SizeLimitError, _excerpt
 from .graph import Edge, Graph
@@ -132,27 +131,17 @@ DEFAULT_ENUM_CAP = 10**8
 GREEDY_MAX_ROUNDS = 20
 
 
-class SolverConfig(Record):
-    """Search knobs; defaults match the documented limits."""
-
-    __slots__ = _fields = ("work_budget", "count_optimal")
-    work_budget: int
-    count_optimal: bool
-
-    def __init__(self, work_budget: int = DEFAULT_WORK_BUDGET, count_optimal: bool = False) -> None:
-        if work_budget < 1:
-            raise InvalidParameterError(f"work budget --cap must be positive, got {_excerpt(work_budget)}")
-        self._set(work_budget=work_budget, count_optimal=count_optimal)
-
-
 class _Budget:
     """Candidate placements an exact call may make (``limit``, by default
-    ``DEFAULT_WORK_BUDGET`` as it reads when built) and has made."""
+    ``DEFAULT_WORK_BUDGET`` as it reads when built) and has made; building
+    one is the package's one check that a work budget is positive."""
 
     __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int | None = None) -> None:
         self.limit = DEFAULT_WORK_BUDGET if limit is None else limit
+        if self.limit < 1:
+            raise InvalidParameterError(f"work budget --cap must be positive, got {_excerpt(self.limit)}")
         self.spent = 0
 
     def charge(self, n: int) -> None:
@@ -191,20 +180,18 @@ def enumerate_oracle(
     k: int,
     rule: RuleMode | str = RuleMode.ONE_CLASS,
     surjective: bool = True,
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> SolveResult:
     """Ground-truth result by full enumeration of all k**n assignments.
 
     Returns the exact minimum, the exact count of optimal colorings, and the
-    lexicographically smallest witness.  Instances with k**n above ``cap``
-    raise :class:`SizeLimitError`; enumeration never falls back to
-    heuristics.
+    lexicographically smallest witness.  Instances with k**n above
+    ``DEFAULT_ENUM_CAP`` raise :class:`SizeLimitError`; enumeration never
+    falls back to heuristics.
     """
     rule = RuleMode(rule)
     _check_instance(g, k, surjective)
-    if k**g.n > cap:
-        raise SizeLimitError(f"enumerating {_excerpt(k)}**{g.n} assignments exceeds cap {_excerpt(cap)}")
+    if k**g.n > DEFAULT_ENUM_CAP:
+        raise SizeLimitError(f"enumerating {_excerpt(k)}**{g.n} assignments exceeds cap {DEFAULT_ENUM_CAP}")
     edges = g.edges
     one_class = rule is RuleMode.ONE_CLASS
     best = len(edges)  # no assignment has more bad edges
@@ -563,17 +550,18 @@ def solve(
     k: int,
     rule: RuleMode | str = RuleMode.ONE_CLASS,
     surjective: bool = True,
-    config: SolverConfig | None = None,
+    *,
+    work_budget: int = DEFAULT_WORK_BUDGET,
+    count_optimal: bool = False,
 ) -> SolveResult:
     """Branch-and-bound minimization; agrees with :func:`enumerate_oracle` exactly.
 
-    The configured work budget bounds the candidate placements of the whole
-    call; instances beyond it raise :class:`SizeLimitError` rather than
-    degrading to a heuristic (use :func:`greedy_heuristic` explicitly for
-    those).
+    ``work_budget`` bounds the candidate placements of the whole call;
+    instances beyond it raise :class:`SizeLimitError` rather than degrading
+    to a heuristic (use :func:`greedy_heuristic` explicitly for those).
+    With ``count_optimal`` the result also carries the count of optima.
     """
-    cfg = config or SolverConfig()
-    return _solve(g, k, RuleMode(rule), surjective, _Budget(cfg.work_budget), cfg.count_optimal)
+    return _solve(g, k, RuleMode(rule), surjective, _Budget(work_budget), count_optimal)
 
 
 def _solve(g: Graph, k: int, rule: RuleMode, surjective: bool, budget: _Budget, count: bool = False) -> SolveResult:

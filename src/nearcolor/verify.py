@@ -28,7 +28,7 @@ from .families import (
     union_bound,
 )
 from .graph import Graph, complete, cycle, join, path
-from .solver import DEFAULT_WORK_BUDGET, _Budget, _count, _minimum, _search
+from .solver import _Budget, _count, _minimum, _search
 
 STATUS_MATCH = "match"
 STATUS_MISMATCH = "mismatch"
@@ -73,7 +73,7 @@ def count_by_bad_edges(g: Graph, colors: int) -> list[int]:
         hist[bad] += math.perm(colors, used)
         return g.m
 
-    _search(g, colors, RuleMode.UNRESTRICTED, False, range(g.n), g.m, tally, _Budget(DEFAULT_WORK_BUDGET))
+    _search(g, colors, RuleMode.UNRESTRICTED, False, range(g.n), g.m, tally, _Budget())
     return hist
 
 
@@ -90,7 +90,7 @@ def count_single_big_class_assignments(n: int, k: int, colors: int) -> int:
             total += math.perm(colors, k)
         return 0
 
-    _search(Graph(n), colors, RuleMode.UNRESTRICTED, False, range(n), 0, tally, _Budget(DEFAULT_WORK_BUDGET))
+    _search(Graph(n), colors, RuleMode.UNRESTRICTED, False, range(n), 0, tally, _Budget())
     return total
 
 
@@ -106,7 +106,7 @@ def _family_row(label: str, name: str, n: int, k: int, check_count: bool = True)
     want_count = check_count and claim.count is not None
     g = FAMILIES[name].build(n)
     if want_count:
-        best, count = _count(g, k, RuleMode.ONE_CLASS, True, _Budget(DEFAULT_WORK_BUDGET))
+        best, count = _count(g, k, RuleMode.ONE_CLASS, True, _Budget())
     else:
         best = _minimum(g, k, RuleMode.ONE_CLASS)
     claimed, computed = f"min={claim.min_bad}", f"min={best}"
@@ -158,8 +158,8 @@ def _slack_row(case: str, params: str, report) -> CheckRow:
     return _row(case, params, "slack>=0", computed, report.slack >= 0)
 
 
-def bounds_suite(seed: int = 0, pairs: int = 20) -> list[CheckRow]:
-    """Operation bounds on fixed instances plus seeded random pairs."""
+def bounds_suite(seed: int = 0) -> list[CheckRow]:
+    """Operation bounds on fixed instances plus 20 seeded random pairs."""
     rows: list[CheckRow] = []
     k3 = complete(3)
 
@@ -177,7 +177,7 @@ def bounds_suite(seed: int = 0, pairs: int = 20) -> list[CheckRow]:
     rows.append(_row("union", "3-clique | 3-clique, k=2", claimed, computed, claimed == computed))
 
     rng = random.Random(seed)
-    for i in range(pairs):
+    for i in range(20):
         n_left = rng.randint(2, 5)
         n_right = rng.randint(2, min(5, 9 - n_left))
         g = random_connected_graph(rng, n_left)

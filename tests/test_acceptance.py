@@ -13,7 +13,6 @@ import random
 from nearcolor import (
     Coloring,
     RuleMode,
-    SolverConfig,
     bad_edges,
     chromatic_number,
     complete,
@@ -107,7 +106,7 @@ def test_a04_helms():
                 f"n={n} k=2: expected {expected}, one-class oracle ({oc.min_bad}, {oc.optimal_count}), "
                 f"unrestricted oracle ({ur.min_bad}, {ur.optimal_count})"
             )
-    res = solve(helm(3)[0], 3, RuleMode.ONE_CLASS, True, SolverConfig(count_optimal=True))
+    res = solve(helm(3)[0], 3, RuleMode.ONE_CLASS, True, count_optimal=True)
     if res.min_bad != 1:
         failures.append(f"n=3 k=3: min_bad={res.min_bad}")
     claimed = 3 * 3 * 2**3
@@ -174,7 +173,7 @@ def test_a08_solver_equals_oracle_on_seeded_instances():
         for k in (1, 2, 3):
             for rule in RuleMode:
                 o = enumerate_oracle(g, k, rule, True)
-                s = solve(g, k, rule, True, SolverConfig(count_optimal=True))
+                s = solve(g, k, rule, True, count_optimal=True)
                 if (o.min_bad, o.optimal_count, o.witness) != (s.min_bad, s.optimal_count, s.witness):
                     failures.append(f"graph {i} (n={g.n}) k={k} {rule.value}")
     _report("A08 branch-and-bound equals oracle on 50 seeded graphs", not failures, "; ".join(failures))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from nearcolor.cli import _HEADER, _OPERATIONS, build_parser, main
+from nearcolor.cli import _OPERATIONS, build_parser, main
 from nearcolor.families import FAMILIES, MAX_POLY_DIGITS, OPERATIONS, parse_family_spec
 from nearcolor.verify import SUITES, CheckRow
 from nearcolor import InvalidParameterError, complete, families, wheel
@@ -215,8 +215,9 @@ def test_bounds_op_choices_are_the_operation_table():
     assert _OPERATIONS == tuple(OPERATIONS)
 
 
-def test_verify_names_are_the_suite_table_and_the_row_fields():
-    assert _HEADER == CheckRow._fields
+def test_verify_names_are_the_suite_table_and_the_row_fields(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "polys")
+    assert code == 0 and out.splitlines()[1].split() == list(CheckRow._fields)
     [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     [suite] = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
     assert tuple(suite.choices) == (*SUITES, "all")
@@ -295,6 +296,11 @@ def test_cap_zero_is_rejected(capsys):
     code, _, err = run(capsys, "solve", "--family", "cycle:5", "--k", "2", "--cap", "0")
     assert code == 2
     assert "cap must be positive" in err
+
+
+def test_cap_zero_is_rejected_by_the_heuristic_too(capsys):
+    code, out, err = run(capsys, "solve", "--family", "path:3", "--k", "1", "--heuristic", "--cap", "0")
+    assert (code, out, err) == (2, "", "error: work budget --cap must be positive, got 0\n")
 
 
 def test_infeasible_surjective_exits_2(capsys):

@@ -1,5 +1,6 @@
 """The package's public names, its value records and what a command loads."""
 
+import ast
 import json
 import os
 import pickle
@@ -20,13 +21,19 @@ from nearcolor import (
     InvalidParameterError,
     RuleMode,
     SizeLimitError,
-    SolverConfig,
+    corona_formula,
+    count_optimal,
     cycle,
     enumerate_oracle,
+    greedy_heuristic,
+    is_valid,
+    join_bound,
     k_chromatic_subgraph,
+    optimal_colorings,
     path,
     path_formula,
     solve,
+    union_bound,
 )
 from nearcolor.cli import main
 from nearcolor.verify import random_connected_graph
@@ -48,11 +55,10 @@ RECORDS = [
      ("n", "edges"), "Graph(n=3, edges=((0, 1), (1, 2)))"),
     (Coloring([1, 2, 1], 2), Coloring((1, 2, 1), 2), Coloring((1, 2, 2), 2),
      ("assignment", "k"), "Coloring(assignment=(1, 2, 1), k=2)"),
-    (SolverConfig(), SolverConfig(2 * 10**6, False), SolverConfig(count_optimal=True),
-     ("work_budget", "count_optimal"), "SolverConfig(work_budget=2000000, count_optimal=False)"),
     (path_formula(3), FamilyResult("path", 3, 1, 2, 1), FamilyResult("path", 3, 1, 2, 1, True),
      ("family", "n", "k", "min_bad", "count", "min_bad_disputed", "count_disputed"),
      "FamilyResult(family='path', n=3, k=1, min_bad=2, count=1, min_bad_disputed=False, count_disputed=False)"),
+    (Graph(0), Graph(0, ()), Graph(1), ("n", "edges"), "Graph(n=0, edges=())"),
 ]
 
 
@@ -89,7 +95,9 @@ def test_graph_equality_ignores_its_adjacency():
     (lambda: Graph(2, [(0, 1), (1, 0)]), InvalidParameterError, "duplicate edge (0, 1)"),
     (lambda: Coloring([1], 0), InvalidParameterError, "color count must be a positive integer, got 0"),
     (lambda: Coloring([1, 3], 2), InvalidColoringError, "vertex 1 has color 3, expected 1..2"),
-    (lambda: SolverConfig(0), InvalidParameterError, "work budget --cap must be positive, got 0"),
+    (lambda: RuleMode("one_class"), InvalidParameterError,
+     "rule must be 'one-class' or 'unrestricted', got 'one_class'"),
+    (lambda: solve(path(3), 1, work_budget=0), InvalidParameterError, "work budget --cap must be positive, got 0"),
     (lambda: FamilyResult("path", 2, 1, -1, 1), InvalidParameterError,
      "minimum bad-edge count cannot be negative"),
     (lambda: FamilyResult("path", 2, 1, 1, 0), InvalidParameterError,
@@ -115,7 +123,8 @@ NEG_TEXT = "-1" + "0" * 26 + "..." + "0" * 28
      f"edge endpoints must be integers, got (0.5, {NEG_TEXT})"),
     (lambda: Coloring((1,), -HUGE), InvalidParameterError, f"color count must be a positive integer, got {NEG_TEXT}"),
     (lambda: Coloring((HUGE,), 2), InvalidColoringError, f"vertex 0 has color {HUGE_TEXT}, expected 1..2"),
-    (lambda: SolverConfig(-HUGE), InvalidParameterError, f"work budget --cap must be positive, got {NEG_TEXT}"),
+    (lambda: solve(path(3), 1, work_budget=-HUGE), InvalidParameterError,
+     f"work budget --cap must be positive, got {NEG_TEXT}"),
     (lambda: k_chromatic_subgraph(cycle(5), -HUGE), InvalidParameterError,
      f"k must satisfy 1 <= k < n (5), got {NEG_TEXT}"),
     (lambda: cycle(5).induced_subgraph([HUGE]), InvalidParameterError, f"vertex {HUGE_TEXT} out of range"),
@@ -127,6 +136,44 @@ def test_messages_echo_an_excerpt_of_a_huge_integer(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
+
+
+LONG_RULE = "r" * 5000
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_valid(path(2), Coloring((1, 2), 2), LONG_RULE),
+    lambda: enumerate_oracle(path(3), 2, LONG_RULE),
+    lambda: solve(path(3), 2, LONG_RULE),
+    lambda: count_optimal(path(3), 2, LONG_RULE),
+    lambda: list(optimal_colorings(path(3), 2, LONG_RULE)),
+    lambda: greedy_heuristic(path(3), 2, LONG_RULE),
+    lambda: k_chromatic_subgraph(path(3), 1, LONG_RULE),
+    lambda: union_bound(path(2), path(2), 2, rule=LONG_RULE),
+    lambda: join_bound(path(2), path(2), 2, rule=LONG_RULE),
+    lambda: corona_formula(path(2), path(2), 2, rule=LONG_RULE),
+], ids=["is_valid", "enumerate_oracle", "solve", "count_optimal", "optimal_colorings", "greedy_heuristic",
+        "k_chromatic_subgraph", "union_bound", "join_bound", "corona_formula"])
+def test_every_rule_entry_point_refuses_an_unknown_rule_with_an_excerpt(call):
+    with pytest.raises(InvalidParameterError) as exc:
+        call()
+    assert str(exc.value) == f"rule must be 'one-class' or 'unrestricted', got '{'r' * 27}...{'r' * 27}'"
+
+
+def test_the_package_imports_only_the_standard_library():
+    package = Path(nearcolor.__file__).resolve().parent
+    outside = []
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{source.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"nearcolor"}]
+    assert not outside
 
 
 def test_result_records_are_named_tuples():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from nearcolor import (
     Graph,
     RuleMode,
-    SolverConfig,
     chromatic_number,
     count_optimal,
     disjoint_union,
@@ -28,7 +27,7 @@ def small_graphs(draw, max_n=7):
 
 
 def min_and_count(g, k, rule, surjective):
-    res = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+    res = solve(g, k, rule, surjective, count_optimal=True)
     return res.min_bad, res.optimal_count
 
 
@@ -39,7 +38,7 @@ def test_solve_matches_the_enumeration_oracle(g, k):
         if surjective and k > g.n:
             continue
         o = enumerate_oracle(g, k, rule, surjective)
-        s = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+        s = solve(g, k, rule, surjective, count_optimal=True)
         assert (s.min_bad, s.optimal_count, s.witness) == (o.min_bad, o.optimal_count, o.witness)
 
 
@@ -148,7 +147,7 @@ def test_seeded_search_matches_both_oracles_on_unions(g, k):
         if surjective and k > g.n:
             continue
         o = enumerate_oracle(g, k, rule, surjective)
-        s = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+        s = solve(g, k, rule, surjective, count_optimal=True)
         assert (s.min_bad, s.optimal_count, s.witness) == (o.min_bad, o.optimal_count, o.witness)
         assert solve(g, k, rule, surjective).witness == o.witness
         assert partition_oracle(g, k, rule, surjective) == (o.min_bad, o.optimal_count)
@@ -167,7 +166,7 @@ def test_count_walk_matches_both_oracles_on_interleaved_unions(g, k):
         if surjective and k > g.n:
             continue
         o = enumerate_oracle(g, k, rule, surjective)
-        s = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+        s = solve(g, k, rule, surjective, count_optimal=True)
         assert (s.min_bad, s.optimal_count, s.witness) == (o.min_bad, o.optimal_count, o.witness)
         assert solve(g, k, rule, surjective).witness == o.witness
         assert partition_oracle(g, k, rule, surjective) == (o.min_bad, o.optimal_count)

@@ -15,7 +15,6 @@ from nearcolor import (
     InvalidParameterError,
     RuleMode,
     SizeLimitError,
-    SolverConfig,
     bad_edge_vertex_cover,
     bad_edges,
     chromatic_number,
@@ -110,7 +109,7 @@ def test_count_optimal_runs_no_witness_walk(monkeypatch):
         count = count_optimal(g, 2, rule, surjective)
         assert phases == ["census", "census"]  # one search per component, no bound phase
         phases.clear()
-        assert solve(g, 2, rule, surjective, SolverConfig(count_optimal=True)).optimal_count == count
+        assert solve(g, 2, rule, surjective, count_optimal=True).optimal_count == count
         assert phases == ["census", "census", "witness"]
 
 
@@ -123,7 +122,7 @@ def test_solve_agrees_with_oracle_on_seeded_instances():
             for rule in RuleMode:
                 for surjective in (True, False):
                     o = enumerate_oracle(g, k, rule, surjective)
-                    s = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+                    s = solve(g, k, rule, surjective, count_optimal=True)
                     assert (o.min_bad, o.optimal_count, o.witness) == (
                         s.min_bad,
                         s.optimal_count,
@@ -148,7 +147,7 @@ def test_partition_oracle_agrees_with_solve_and_enumeration():
                         if surjective and k > n:
                             continue
                         expect = partition_oracle(g, k, rule, surjective)
-                        s = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+                        s = solve(g, k, rule, surjective, count_optimal=True)
                         assert (s.min_bad, s.optimal_count) == expect
                         if k**n <= 20_000:
                             o = enumerate_oracle(g, k, rule, surjective)
@@ -179,7 +178,7 @@ def test_split_at_components_agrees_with_both_oracles():
                 for surjective in (True, False):
                     if surjective and k > n:
                         continue
-                    counted = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+                    counted = solve(g, k, rule, surjective, count_optimal=True)
                     witness = solve(g, k, rule, surjective)
                     assert witness.min_bad == counted.min_bad
                     assert witness.witness == counted.witness
@@ -226,7 +225,7 @@ def test_greedy_seed_bounds_each_component_from_above():
                 for surjective in (True, False):
                     if surjective and k > g.n:
                         continue
-                    s = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+                    s = solve(g, k, rule, surjective, count_optimal=True)
                     assert (s.min_bad, s.optimal_count) == partition_oracle(g, k, rule, surjective)
                     assert solve(g, k, rule, surjective).witness == s.witness
     assert seen == {"skipped", "proved", "1 beaten by 1", "2 beaten by 1", "2 beaten by 2"}
@@ -255,7 +254,7 @@ def test_components_without_an_edge_are_never_searched(monkeypatch):
     for rule in RuleMode:
         for surjective in (True, False):
             seeded.clear()
-            s = solve(g, 2, rule, surjective, SolverConfig(count_optimal=True))
+            s = solve(g, 2, rule, surjective, count_optimal=True)
             assert (s.min_bad, s.optimal_count) == partition_oracle(g, 2, rule, surjective)
             assert seeded == [3, 2]
     searched.clear()
@@ -279,9 +278,9 @@ def test_union_of_two_16_vertex_graphs_fits_a_small_work_budget():
     g, h = random_graph(1), random_graph(2)
     assert union_bound(g, h, 3).exact == 2
     u, _ = disjoint_union(g, h)
-    assert solve(u, 3, config=SolverConfig(work_budget=496)).min_bad == 2
+    assert solve(u, 3, work_budget=496).min_bad == 2
     with pytest.raises(SizeLimitError):
-        solve(u, 3, config=SolverConfig(work_budget=495))
+        solve(u, 3, work_budget=495)
 
 
 def credit_instances():
@@ -375,7 +374,7 @@ def test_union_of_two_16_vertex_graphs_counts_within_a_small_work_budget():
     # where walking that product in index order made 990,478 and 1,235,638.
     u, _ = disjoint_union(random_graph(1), random_graph(2))
     for rule, expect in ((RuleMode.ONE_CLASS, 40608), (RuleMode.UNRESTRICTED, 235872)):
-        res = solve(u, 3, rule, config=SolverConfig(work_budget=100_000, count_optimal=True))
+        res = solve(u, 3, rule, work_budget=100_000, count_optimal=True)
         assert (res.min_bad, res.optimal_count) == (2, expect)
 
 
@@ -401,9 +400,9 @@ def test_deep_searches_fit_the_interpreter_stack():
     # The greedy seed colors a path properly, so no bound phase runs and the
     # index-order walk makes 1 + 2 * 2999 placements.  One fewer runs out
     # at the last vertex, 3000 frames deep, past the default recursion limit.
-    assert solve(path(3000), 2, config=SolverConfig(work_budget=5999)).min_bad == 0
+    assert solve(path(3000), 2, work_budget=5999).min_bad == 0
     with pytest.raises(SizeLimitError):
-        solve(path(3000), 2, config=SolverConfig(work_budget=5998))
+        solve(path(3000), 2, work_budget=5998)
     # The census of one component goes as deep as that component: 3000
     # frames on the path, 2 on each of the matching's 1500 edges.
     assert count_optimal(path(3000), 2, RuleMode.UNRESTRICTED) == 2
@@ -446,7 +445,7 @@ def test_optima_with_unused_colors_agree_with_oracle_and_brute_force():
                             solve(g, k, rule, surjective)
                         continue
                     o = enumerate_oracle(g, k, rule, surjective)
-                    s = solve(g, k, rule, surjective, SolverConfig(count_optimal=True))
+                    s = solve(g, k, rule, surjective, count_optimal=True)
                     assert (s.min_bad, s.optimal_count, s.witness) == (
                         o.min_bad,
                         o.optimal_count,
@@ -462,7 +461,7 @@ def test_optima_with_unused_colors_agree_with_oracle_and_brute_force():
 def test_solve_is_deterministic():
     g = random_connected_graph(random.Random(5), 8)
     results = [
-        solve(g, 2, RuleMode.ONE_CLASS, True, SolverConfig(count_optimal=True))
+        solve(g, 2, RuleMode.ONE_CLASS, True, count_optimal=True)
         for _ in range(3)
     ]
     assert all(r == results[0] for r in results)
@@ -499,31 +498,32 @@ def test_surjective_count_of_1000_isolated_vertices_onto_100_colors():
 
 def test_surjective_count_with_k_times_n_over_the_budget_is_refused_up_front(monkeypatch):
     g = disjoint_union(complete(3), Graph(97))[0]  # k * n = 5000 at k = 50
-    counting = SolverConfig(work_budget=5000, count_optimal=True)
-    assert solve(g, 50, config=counting).optimal_count == count_optimal(g, 50)
+    assert solve(g, 50, work_budget=5000, count_optimal=True).optimal_count == count_optimal(g, 50)
     monkeypatch.setattr(solver, "_search", None)  # refused before any search
     with pytest.raises(SizeLimitError):
-        solve(g, 50, config=SolverConfig(work_budget=4999, count_optimal=True))
+        solve(g, 50, work_budget=4999, count_optimal=True)
     with pytest.raises(SizeLimitError):
         count_optimal(Graph(2001), 1000)
     monkeypatch.undo()
-    assert solve(g, 50, surjective=False, config=SolverConfig(work_budget=4999, count_optimal=True)).optimal_count
-    assert solve(g, 50, config=SolverConfig(work_budget=4999)).min_bad == 0
+    assert solve(g, 50, surjective=False, work_budget=4999, count_optimal=True).optimal_count
+    assert solve(g, 50, work_budget=4999).min_bad == 0
 
 
 def test_spare_colors_beyond_n_add_no_setup_cost():
     # A canonical assignment of n vertices uses at most n colors, so the
     # kernel's and the heuristic's color tables stop growing at n.
     k = 10**5
-    result = solve(path(3), k, surjective=False, config=SolverConfig(count_optimal=True))
+    result = solve(path(3), k, surjective=False, count_optimal=True)
     assert result.optimal_count == k * (k - 1) ** 2
     assert solve(path(3), 10**7, surjective=False).witness.assignment == (1, 2, 1)
     assert greedy_heuristic(path(3), 10**7, surjective=False).min_bad == 0
 
 
-def test_enumeration_cap():
-    with pytest.raises(SizeLimitError):
-        enumerate_oracle(complete(10), 4, cap=1000)
+def test_enumeration_cap(monkeypatch):
+    # 4**14 assignments are above the 10**8 cap, so the oracle raises before it scans.
+    monkeypatch.setattr(solver, "itertools", None)
+    with pytest.raises(SizeLimitError, match=r"^enumerating 4\*\*14 assignments exceeds cap 100000000$"):
+        enumerate_oracle(complete(14), 4)
 
 
 def test_every_exact_entry_point_honours_the_cap():
@@ -539,9 +539,9 @@ def test_one_work_budget_covers_every_search_of_a_call(monkeypatch):
     # Counting K10 with 4 colors makes 1409 candidate placements in the
     # census and 22 in the witness walk (up to its first leaf); the call is
     # charged for both.
-    assert solve(complete(10), 4, config=SolverConfig(work_budget=1431, count_optimal=True)).optimal_count == 2880
+    assert solve(complete(10), 4, work_budget=1431, count_optimal=True).optimal_count == 2880
     with pytest.raises(SizeLimitError):
-        solve(complete(10), 4, config=SolverConfig(work_budget=1430, count_optimal=True))
+        solve(complete(10), 4, work_budget=1430, count_optimal=True)
     # chi(K6) tries k = 1..6 for 56 placements in all, at most 21 for one k.
     monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 56)
     assert chromatic_number(complete(6)) == 6
@@ -566,7 +566,7 @@ def test_reference_instance_r22_fits_the_default_work_budget():
     edges = random.Random(1).sample(list(itertools.combinations(range(22), 2)), 98)
     g = Graph(22, tuple(edges))
     for rule, expect in ((RuleMode.UNRESTRICTED, (13, 96)), (RuleMode.ONE_CLASS, (25, 30))):
-        res = solve(g, 3, rule, True, SolverConfig(count_optimal=True))
+        res = solve(g, 3, rule, True, count_optimal=True)
         assert (res.min_bad, res.optimal_count) == expect
 
 

@@ -92,10 +92,10 @@ def test_first_appearance_counts_agree_with_the_full_scan():
 def test_exhaustive_counts_honour_the_work_budget(monkeypatch):
     # Both counts walk the 4**8 assignments of 8 items as 3,771 placements of
     # canonical ones; past the budget they raise instead of running on.
-    monkeypatch.setattr("nearcolor.verify.DEFAULT_WORK_BUDGET", 3771)
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 3771)
     assert count_by_bad_edges(cycle(8), 4) == [cycle_defect_polynomial(8, j, 4) for j in range(9)]
     assert count_single_big_class_assignments(8, 4, 4) == 1344
-    monkeypatch.setattr("nearcolor.verify.DEFAULT_WORK_BUDGET", 3770)
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 3770)
     with pytest.raises(SizeLimitError):
         count_by_bad_edges(cycle(8), 4)
     with pytest.raises(SizeLimitError):
@@ -142,10 +142,11 @@ def test_poly_suite_all_match():
 
 
 def test_bounds_suite_statuses_and_determinism():
-    rows = bounds_suite(seed=3, pairs=5)
+    rows = bounds_suite(seed=3)
+    assert len([row for row in rows if row.params.startswith("pair ")]) == 40  # 20 pairs, union and join
     assert not has_hard_mismatch(rows)
     assert any(row.status == STATUS_REPORTED for row in rows if row.case == "corona")
-    assert rows == bounds_suite(seed=3, pairs=5)
+    assert rows == bounds_suite(seed=3)
 
 
 def test_family_suite_is_deterministic():
@@ -163,8 +164,8 @@ def test_has_hard_mismatch_logic():
 def test_a_bound_whose_exact_search_ran_out_is_oracle_infeasible(monkeypatch):
     real = verify.union_bound
     monkeypatch.setattr(verify, "union_bound", lambda *a, **kw: real(*a, **kw)._replace(exact=None, slack=None))
-    union = [row for row in bounds_suite(seed=0, pairs=1) if row.case == "union"]
-    assert union == [
+    union = [row for row in bounds_suite(seed=0) if row.case == "union"]
+    assert union[:2] == [
         CheckRow("union", "3-clique | 3-clique, k=2", "bound=2 exact=2", "bound=2 exact=None", STATUS_MISMATCH),
         CheckRow("union", "pair 0: n=5+3, k=2", "slack>=0", "exact not computed", STATUS_INFEASIBLE),
     ]
