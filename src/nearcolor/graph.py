@@ -36,14 +36,19 @@ def _check_vertex_limit(n: int) -> None:
 
 
 def _adjacency(n: int, edges: tuple[Edge, ...]) -> tuple[frozenset[int], ...]:
-    # Only vertices with edges get a set of their own; isolated ones share one.
-    neighbors: dict[int, set[int]] = {}
+    # A vertex's first edge gives it a list; isolated vertices share one set.
+    adj: list = [None] * n
     for u, v in edges:
-        neighbors.setdefault(u, set()).add(v)
-        neighbors.setdefault(v, set()).add(u)
-    adj = [_NO_NEIGHBORS] * n
-    for v, s in neighbors.items():
-        adj[v] = frozenset(s)
+        if adj[u] is None:
+            adj[u] = [v]
+        else:
+            adj[u].append(v)
+        if adj[v] is None:
+            adj[v] = [u]
+        else:
+            adj[v].append(u)
+    for v, a in enumerate(adj):
+        adj[v] = _NO_NEIGHBORS if a is None else frozenset(a)
     return tuple(adj)
 
 

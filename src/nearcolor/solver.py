@@ -190,7 +190,9 @@ def enumerate_oracle(
     """
     rule = RuleMode(rule)
     _check_instance(g, k, surjective)
-    if k**g.n > DEFAULT_ENUM_CAP:
+    # With k >= 2 and n past the cap's bit length, k**n > 2**n > the cap, so
+    # a large k**n is refused without being computed.
+    if k > 1 and g.n >= DEFAULT_ENUM_CAP.bit_length() or k**g.n > DEFAULT_ENUM_CAP:
         raise SizeLimitError(f"enumerating {_excerpt(k)}**{g.n} assignments exceeds cap {DEFAULT_ENUM_CAP}")
     edges = g.edges
     one_class = rule is RuleMode.ONE_CLASS
@@ -295,7 +297,8 @@ def _search(
     width = min(k, n)
     # cnt[w] = [least count, placed neighbors of w with color 1, ..., width]
     cnt = [[0] * (width + 1) for _ in range(n)]
-    later = [tuple(cnt[u] for u in g.adj[v] if pos[u] > i) for i, v in enumerate(order)]
+    adj = g.adj
+    later = [[cnt[u] for u in adj[v] if pos[u] > i] for i, v in enumerate(order)]
     spent, room = 0, budget.limit - budget.spent
 
     def dfs(i: int, bad: int, used: int, dirty: int, lb: int) -> None:
@@ -352,7 +355,8 @@ def _search(
 
 
 def _degree_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    adj = g.adj
+    return sorted(range(g.n), key=lambda v: -len(adj[v]))  # stable: ties keep index order
 
 
 def _optimum(
@@ -517,8 +521,9 @@ def chromatic_number(g: Graph) -> int:
 
     It is the largest over the connected components, so each component with
     an edge is searched on its own, starting from the largest k the earlier
-    ones needed.  Every search draws on one default work budget; past it the
-    search raises :class:`SizeLimitError`.
+    ones needed; the first starts at k = 2, since an edge rules out k = 1.
+    Every search draws on one default work budget; past it the search raises
+    :class:`SizeLimitError`.
     """
     if g.n < 1:
         raise InvalidParameterError("chromatic number needs at least one vertex")
@@ -526,14 +531,14 @@ def chromatic_number(g: Graph) -> int:
 
 
 def _chromatic(g: Graph, budget: _Budget) -> int:
-    """``chromatic_number`` on ``budget``."""
+    """``chromatic_number`` on ``budget``; a graph with an edge starts at k = 2."""
 
     def proper(colors: list[int], bad: int, used: int) -> int:
         nonlocal found
         found = True
         return -1
 
-    k = 1
+    k = 2 if g.m else 1  # one color never colors an edge properly
     for _, sub in _split(g, g.components()):
         order = _degree_order(sub)
         found = False
@@ -771,8 +776,10 @@ def greedy_heuristic(
     an upper bound, flagged by ``exact=False``.  Never used as a test oracle.
 
     Colors the vertices greedily in degree-descending order, then runs
-    passes of first-improvement moves in index order.  A pass costs
-    O(k * (n + m)), at most ``GREEDY_MAX_ROUNDS`` run, and the result is
+    passes of first-improvement moves in index order.  A table of each
+    vertex's neighbors per color, updated in O(deg v) per move, makes the
+    construction cost O(k * n + m) and a pass O(k * n) plus O(deg v) per
+    move; at most ``GREEDY_MAX_ROUNDS`` passes run, and the result is
     deterministic.
     """
     rule = RuleMode(rule)
@@ -796,24 +803,28 @@ def _greedy(
     # and no color above n is ever its first least or first improving choice.
     k = min(k, g.n)
     one_class = rule is RuleMode.ONE_CLASS
+    adj = g.adj
     colors = [0] * g.n
     sizes = [g.n] + [0] * k  # class 0 holds the vertices not yet colored
+    # tab[v][c]: the neighbors of v with color c, slot 0 for those not yet
+    # colored.  No move writes an isolated vertex's row, so they share one.
+    isolated = [0] * (k + 1)
+    tab = [[len(a)] + [0] * k if a else isolated for a in adj]
     current = 0
 
-    def conflicts(v: int) -> list[int]:
-        row = [0] * (k + 1)
-        for u in g.adj[v]:
-            row[colors[u]] += 1
-        return row
-
     def move(v: int, c: int) -> None:
-        sizes[colors[v]] -= 1
+        old = colors[v]
+        sizes[old] -= 1
         sizes[c] += 1
         colors[v] = c
+        for u in adj[v]:
+            row = tab[u]
+            row[old] -= 1
+            row[c] += 1
 
     dirty = 0  # the one class allowed to contain adjacencies; 0 = none yet
     for v in order:
-        row = conflicts(v)
+        row = tab[v]
         low = min(row[1:])
         c = row.index(low, 1)
         if low and one_class:
@@ -834,9 +845,10 @@ def _greedy(
         start = current
         for v in range(g.n):
             old = colors[v]
-            if surjective and sizes[old] == 1:
+            row = tab[v]
+            # No move lowers the count of a vertex that meets no neighbor of its color.
+            if not row[old] or surjective and sizes[old] == 1:
                 continue
-            row = conflicts(v)
             for c in range(1, k + 1):
                 # The move changes the bad-edge count by row[c] - row[old].  It
                 # lowers it only if v meets its own class, under the one-class

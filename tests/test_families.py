@@ -341,7 +341,7 @@ def test_bound_reports_run_no_witness_walk(monkeypatch):
         for report in (union_bound(g, h, 2, rule=rule), join_bound(g, h, 2, rule=rule),
                        corona_formula(path(2), h, 2, rule=rule)):
             assert report.exact is not None
-    assert phases == {"bound phase", "census"}
+    assert phases == {"bound phase", "chromatic", "census"}
 
 
 def test_corona_formula_reports():

@@ -285,11 +285,11 @@ def test_chromatic_number_is_the_largest_over_the_components(monkeypatch):
     assert chromatic_number(u) == 5
     assert chromatic_number(disjoint_union(path(3), cycle(7))[0]) == 3
     assert chromatic_number(Graph(6, ((4, 5),))) == 2
-    # K5 tries k = 1..5 for 35 placements; the path is then tried at k = 5
+    # K5 tries k = 2..5 for 34 placements; the path is then tried at k = 5
     # only, for 117.  All of it draws on one budget.
-    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 152)
-    assert chromatic_number(u) == 5
     monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 151)
+    assert chromatic_number(u) == 5
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 150)
     with pytest.raises(SizeLimitError):
         chromatic_number(u)
 

@@ -3,18 +3,25 @@
 Replays every variant of ``perfbench/golden/solve-connected.json`` and
 ``perfbench/golden/count-union.json`` (read only), checks each answer against
 the recorded one, and sums the candidate placements that ``solver._search``
-makes, per phase: the degree-ordered bound phase (chromatic-number searches
-included), the index-order witness walk (which ``count_optimal`` and the
+makes, per phase: the degree-ordered bound phase, the chromatic-number
+searches, the index-order witness walk (which ``count_optimal`` and the
 union, join and corona bounds skip) and the census of each component, which
 counting and the class sizes of the join and corona bounds read.  The ceiling is the sum of
 the recorded phase totals; when it is broken, the failure names each phase
 that grew.  A change that raises a total must say why and move its figure.
+
+The same replays pin the greedy seed of every component search: a digest of
+each ``solver._greedy`` call's vertex count, k, rule, bad edges and colors,
+in call order, must match the one recorded.  The searches read only the
+seed's bad-edge count, so without this pin a change to its colors would go
+unseen.
 
 Also replays the heuristic variants of ``perfbench/golden/cli-adjudicate.json``
 and requires their recorded colorings exactly: a change that alters the
 heuristic's choices must say so and update this pin.
 """
 
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -27,7 +34,12 @@ from nearcolor import solver
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 PLACEMENTS = {
     "solve-connected": {"bound phase": 115_213, "witness walk": 135_407},
-    "count-union": {"bound phase": 9_806, "census": 16_364},
+    "count-union": {"bound phase": 8_635, "chromatic": 1_091, "census": 16_364},
+}
+
+SEEDS = {
+    "solve-connected": "73e788399a164bb9556a245764a578445f970c60c4bb1c4378ac47129279577c",
+    "count-union": "f66893e2e08596dcaba60e78d515fbb075be2ff43929d84cdd4bce52cb76432c",
 }
 
 
@@ -50,8 +62,10 @@ def replay(cell, v):
 
 
 def phase(g, k, rule, surjective, order, bound, leaf, budget, drop=None):
-    """The phase of one ``solver._search`` call: the census has a leaf of its own."""
-    return "census" if leaf.__name__ == "census" else "bound phase" if drop is None else "witness walk"
+    """The phase of one ``solver._search`` call: the census and the chromatic
+    number have leaves of their own."""
+    own = {"census": "census", "proper": "chromatic"}
+    return own.get(leaf.__name__, "bound phase" if drop is None else "witness walk")
 
 
 @pytest.mark.parametrize("workload", sorted(PLACEMENTS))
@@ -72,6 +86,22 @@ def test_golden_placements_stay_under_their_ceiling(workload, monkeypatch):
     recorded = PLACEMENTS[workload]
     grown = {phase: n for phase, n in spent_in.items() if n > recorded.get(phase, 0)}
     assert sum(spent_in.values()) <= sum(recorded.values()), f"placements grew in {grown}"
+
+
+@pytest.mark.parametrize("workload", sorted(SEEDS))
+def test_golden_greedy_seeds_keep_their_digest(workload, monkeypatch):
+    digest = hashlib.sha256()
+    greedy = solver._greedy
+
+    def recording(g, k, rule, surjective, order):
+        bad, colors = greedy(g, k, rule, surjective, order)
+        digest.update(repr((g.n, k, rule.value, bad, colors)).encode())
+        return bad, colors
+
+    monkeypatch.setattr(solver, "_greedy", recording)
+    cells = json.loads((GOLDEN / f"{workload}.json").read_text(encoding="utf-8"))["cells"]
+    assert [w for w in (replay(cell, v) for cell in cells for v in cell["variants"]) if w] == []
+    assert digest.hexdigest() == SEEDS[workload]
 
 
 def test_heuristic_keeps_its_golden_colorings():

@@ -520,10 +520,17 @@ def test_spare_colors_beyond_n_add_no_setup_cost():
 
 
 def test_enumeration_cap(monkeypatch):
+    class ColorCount(int):
+        def __pow__(self, n):
+            raise AssertionError("k**n was computed")
+
     # 4**14 assignments are above the 10**8 cap, so the oracle raises before it scans.
     monkeypatch.setattr(solver, "itertools", None)
     with pytest.raises(SizeLimitError, match=r"^enumerating 4\*\*14 assignments exceeds cap 100000000$"):
         enumerate_oracle(complete(14), 4)
+    # (10**6)**(10**6) has 20 million bits; the cap refuses it without building it.
+    with pytest.raises(SizeLimitError, match=r"^enumerating 1000000\*\*1000000 assignments exceeds cap 100000000$"):
+        enumerate_oracle(Graph(10**6), ColorCount(10**6), surjective=False)
 
 
 def test_every_exact_entry_point_honours_the_cap():
@@ -542,19 +549,19 @@ def test_one_work_budget_covers_every_search_of_a_call(monkeypatch):
     assert solve(complete(10), 4, work_budget=1431, count_optimal=True).optimal_count == 2880
     with pytest.raises(SizeLimitError):
         solve(complete(10), 4, work_budget=1430, count_optimal=True)
-    # chi(K6) tries k = 1..6 for 56 placements in all, at most 21 for one k.
-    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 56)
-    assert chromatic_number(complete(6)) == 6
+    # chi(K6) tries k = 2..6 for 55 placements in all, at most 21 for one k.
     monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 55)
+    assert chromatic_number(complete(6)) == 6
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 54)
     with pytest.raises(SizeLimitError):
         chromatic_number(complete(6))
     # k_chromatic_subgraph(K5, 3) makes 48 placements to solve K5, is charged
     # 12 for the vertex cover of the witness's 3 bad edges (four subsets
-    # tested, 3 each) and makes 10 placements for the chromatic number of the
+    # tested, 3 each) and makes 9 placements for the chromatic number of the
     # K3 left; one budget covers all three.
-    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 70)
-    assert k_chromatic_subgraph(complete(5), 3).chromatic == 3
     monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 69)
+    assert k_chromatic_subgraph(complete(5), 3).chromatic == 3
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 68)
     with pytest.raises(SizeLimitError):
         k_chromatic_subgraph(complete(5), 3)
 
