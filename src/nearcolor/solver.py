@@ -9,15 +9,18 @@ lexicographically smallest witness.
 One search kernel, ``_search``, serves every exact entry point (``solve``,
 ``count_optimal``, ``optimal_colorings``): once per connected component,
 in static degree-descending order with pruning on the incumbent, and then,
-when a witness is wanted, once over the whole graph.  Where the caller
-reads only the minimum, each component's search is a bound phase; where it
-reads every optimum (a count, or the class sizes of the join and corona
-bounds), it is a census, which records every canonical optimum (see below).
-The witness walk re-walks the tree in vertex-index order with the proven
-optimum as the bound, so the first leaf it reaches is the lexicographically
-smallest witness; ``solve`` stops it there, while ``optimal_colorings``
-lets it visit every canonical optimum exactly once.  ``count_optimal`` and
-the bound reports return no witness, so they run no witness walk.
+when a witness is wanted and that search has not settled it, once over the
+whole graph.  Where the caller reads only the minimum, each component's
+search is a bound phase; where it reads every optimum (a count, or the
+class sizes of the join and corona bounds), it is a census, which records
+every canonical optimum; where a plain ``solve`` reads the least optimum of
+a connected graph, it is a witness census, which keeps only that (see
+below).  The witness walk re-walks the tree in vertex-index order with the
+proven optimum as the bound, so the first leaf it reaches is the
+lexicographically smallest witness; ``solve`` stops it there, while
+``optimal_colorings`` lets it visit every canonical optimum exactly once.
+``count_optimal`` and the bound reports return no witness, so they run no
+witness walk.
 
 The kernel breaks color symmetry: a vertex may only take a color at most
 one above the number of colors its prefix uses, so the colors in use are
@@ -64,8 +67,10 @@ vertex of each clique.  A component not yet entered still counts exactly
 its minimum, and once it is entered it counts the cliques that lie wholly
 among its unplaced vertices.  That bound is never below the old one, so
 the walk visits a subset of its old nodes and reaches the same leaves in
-the same order.  The degree-ordered bound phase keeps the plain bound:
-there the credit saved 3% of the placements and cost more time than that.
+the same order.  A witness census whose degree order is index order (see
+below) searches in the walk's order, so it takes the same credit.  The
+other degree-ordered searches keep the plain bound: in the bound phase the
+credit saved 3% of the placements and cost more time than that.
 
 The count of optima follows from each component's optima by
 inclusion-exclusion over color sets (Bjorklund, Husfeldt and Koivisto,
@@ -95,6 +100,28 @@ at the proven minimum, whose tree holds the bound phase's last proof, but
 it can cost more where H is above the minimum and the incumbents on the way
 down have many ties.  The heuristic makes no placements and its polynomial
 work is not charged to the work budget.
+
+A plain ``solve`` of a connected graph whose H is above 0 takes its witness
+from one witness census instead of a bound phase and a walk.  The census
+visits the degree-order canonical member of every class of optimal color
+renamings.  Relabeling that member by first appearance in vertex-index
+order gives the class's lexicographically least member, so the least of the
+relabeled optima is the smallest witness, the walk's first leaf (the
+lex-leader of a symmetry class; Crawford, Ginsberg, Luks and Roy, KR 1996).
+The witness census starts at bound H and keeps ties, but of each level of
+its incumbent it remembers only the least relabeled leaf; a leaf below the
+level starts a new one.  When it ends, the minimum is proven and the least
+leaf of its last level is the witness, so no walk runs.  Ties are bounded
+two ways.  Where the degree order equals index order on its first p
+positions, relabeling keeps the colors there and the leaves of a level come
+in ascending order of them, so a tie that differs there from the level's
+first leaf is larger than the one kept, and so is every later leaf: the
+level keeps no more ties.  On cycles, complete graphs, wheels and helms with
+a rim of 4 or more p = n, so no level keeps a tie, and the census takes the
+walk's clique credit.  Past ``_TIES`` ties a level keeps no more either,
+and if that level is the minimum, the witness walk runs at the proven
+minimum, as it does on a disconnected graph, where H is 0, and for a
+counting ``solve`` or ``optimal_colorings``.
 
 The chromatic number comes from the same kernel: it is the smallest k for
 which a search with bound 0 and surjectivity off reaches a leaf, and the
@@ -129,6 +156,8 @@ DEFAULT_WORK_BUDGET = 2 * 10**6
 DEFAULT_ENUM_CAP = 10**8
 # Local-search passes of greedy_heuristic; it stops earlier once a pass improves nothing.
 GREEDY_MAX_ROUNDS = 20
+# Ties one level of a witness census relabels before it leaves the witness to the walk.
+_TIES = 8
 
 
 class _Budget:
@@ -295,9 +324,11 @@ def _search(
     # A canonical assignment uses at most min(k, n) colors, and past n every
     # row keeps a zero among its first n colors, so wider rows change nothing.
     width = min(k, n)
-    # cnt[w] = [least count, placed neighbors of w with color 1, ..., width]
-    cnt = [[0] * (width + 1) for _ in range(n)]
     adj = g.adj
+    # cnt[w] = [least count, placed neighbors of w with color 1, ..., width].
+    # Nothing writes the row of a vertex without neighbors, so they share one.
+    isolated = [0] * (width + 1)
+    cnt = [[0] * (width + 1) if a else isolated for a in adj]
     later = [[cnt[u] for u in adj[v] if pos[u] > i] for i, v in enumerate(order)]
     spent, room = 0, budget.limit - budget.spent
 
@@ -367,6 +398,7 @@ def _optimum(
     budget: _Budget,
     leaf: Callable[[list[int], int, int], int] | None = None,
     key: Callable[[Graph, list[int], int, int], Hashable] | None = None,
+    least: bool = False,
 ) -> tuple[int, tuple[int, list[tuple[int, Counter[Hashable]]]] | None]:
     """Proven minimum bad-edge count; ``leaf`` sees the canonical optima in order.
 
@@ -381,6 +413,10 @@ def _optimum(
     leaf strictly below the incumbent lowers it and clears what was
     recorded, so once the search ends it has recorded every canonical
     optimum of the component, each as ``key(sub, colors, bad, used)``.
+    With ``least`` and no ``key``, where ``leaf`` reads only the least
+    optimum, on a connected g with H above 0 it is the witness census
+    (``_least``), which hands ``leaf`` the least optimum and returns unless
+    its tie cap fired on the last level.
     The witness walk then runs over all of g in vertex-index order with the
     minimum of g as a fixed bound and each component's minimum as ``drop``,
     spread by ``_cliques`` from its first vertex to its cliques, so every
@@ -417,6 +453,11 @@ def _optimum(
             seen: Counter[Hashable] = Counter()
             _search(sub, k, rule, whole, order, found, census, budget)
             tallies.append((found, seen))
+        elif least and found and len(parts) == 1:
+            found, witness = _least(g, k, rule, surjective, order, found, budget)
+            if witness is not None:
+                leaf(list(witness), found, max(witness))
+                return found, None
         elif found:
             _search(sub, k, rule, whole, order, found - 1, improve, budget)
         drop[part[0]] = found
@@ -428,8 +469,55 @@ def _optimum(
     return best, None if key is None else (len(parts) - len(tallies), tallies)
 
 
+def _least(
+    g: Graph, k: int, rule: RuleMode, surjective: bool, order: Sequence[int], bound: int, budget: _Budget
+) -> tuple[int, tuple[int, ...] | None]:
+    """The witness census of a connected g in ``order`` from ``bound``: the
+    minimum and the least optimum, or None in its place when the last level
+    kept more than ``_TIES`` ties.
+
+    Each leaf is relabeled by first appearance in vertex-index order, the
+    least member of its renaming class, and the least of a level's leaves
+    is kept.  A leaf below the level starts a new one.  While ``order``
+    equals index order on its first p positions, relabeling keeps those
+    colors, and the leaves of a level come in ascending order of them: a tie
+    that differs from the first leaf there is larger than the kept one, and
+    so is every later leaf, so the level keeps no more ties (see the module
+    docstring).  Where p = n the census runs in the walk's order and takes
+    its clique credit, with ``bound`` standing in for the minimum at the
+    first vertex, which sheds it before any cut.
+    """
+    n = g.n
+    p = next((i for i, v in enumerate(order) if i != v), n)
+    drop = None
+    if p == n:  # the walk's own order, so the walk's clique credit holds too
+        drop = [bound] + [0] * (n - 1)
+        _cliques(g, k, [order], drop)
+    found, head, kept, ties = bound + 1, None, None, 0
+
+    def least(colors: list[int], bad: int, used: int) -> int:
+        nonlocal found, head, kept, ties
+        if bad < found:
+            found, head, kept, ties = bad, colors[:p], None, 0
+        elif colors[:p] != head:
+            return bad - 1
+        ties += 1
+        if ties > _TIES:
+            kept = None
+            return bad - 1
+        names: dict[int, int] = {}
+        relabeled = tuple([names.setdefault(c, len(names) + 1) for c in colors])
+        if kept is None or relabeled < kept:
+            kept = relabeled
+        return bad if p < n else bad - 1
+
+    _search(g, k, rule, surjective, order, bound, least, budget, drop)
+    return found, kept
+
+
 def _cliques(g: Graph, k: int, parts: list[list[int]], drop: list[int]) -> None:
-    """Credit the witness walk's ``drop`` with edge-disjoint (k + 1)-cliques.
+    """Credit the ``drop`` of the witness walk, or of a witness census in
+    index order, with edge-disjoint (k + 1)-cliques.
 
     In each component with a positive minimum, at each vertex v from its
     last down to the one after its first, packs cliques greedily in the
@@ -580,7 +668,7 @@ def _solve(g: Graph, k: int, rule: RuleMode, surjective: bool, budget: _Budget, 
     if count:
         best, optimal_count = _count(g, k, rule, surjective, budget, first)
     else:
-        best, _ = _optimum(g, k, rule, surjective, budget, first)
+        best, _ = _optimum(g, k, rule, surjective, budget, first, least=True)
         optimal_count = None
     return SolveResult(best, Coloring(witness[0], k), rule, surjective, optimal_count)
 

@@ -4,11 +4,13 @@ Replays every variant of ``perfbench/golden/solve-connected.json`` and
 ``perfbench/golden/count-union.json`` (read only), checks each answer against
 the recorded one, and sums the candidate placements that ``solver._search``
 makes, per phase: the degree-ordered bound phase, the chromatic-number
-searches, the index-order witness walk (which ``count_optimal`` and the
-union, join and corona bounds skip) and the census of each component, which
-counting and the class sizes of the join and corona bounds read.  The ceiling is the sum of
-the recorded phase totals; when it is broken, the failure names each phase
-that grew.  A change that raises a total must say why and move its figure.
+searches, the witness census that takes a connected ``solve``'s witness, the
+index-order witness walk (which ``count_optimal`` and the union, join and
+corona bounds skip, and a witness census leaves out unless its tie cap
+fires) and the census of each component, which counting and the class sizes
+of the join and corona bounds read.  The ceiling is the sum of the recorded
+phase totals; when it is broken, the failure names each phase that grew.  A
+change that raises a total must say why and move its figure.
 
 The same replays pin the greedy seed of every component search: a digest of
 each ``solver._greedy`` call's vertex count, k, rule, bad edges and colors,
@@ -33,7 +35,7 @@ from nearcolor import solver
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 PLACEMENTS = {
-    "solve-connected": {"bound phase": 115_213, "witness walk": 135_407},
+    "solve-connected": {"witness census": 178_900, "witness walk": 12_138},
     "count-union": {"bound phase": 8_635, "chromatic": 1_091, "census": 16_364},
 }
 
@@ -62,9 +64,9 @@ def replay(cell, v):
 
 
 def phase(g, k, rule, surjective, order, bound, leaf, budget, drop=None):
-    """The phase of one ``solver._search`` call: the census and the chromatic
-    number have leaves of their own."""
-    own = {"census": "census", "proper": "chromatic"}
+    """The phase of one ``solver._search`` call: the census, the witness
+    census and the chromatic number have leaves of their own."""
+    own = {"census": "census", "least": "witness census", "proper": "chromatic"}
     return own.get(leaf.__name__, "bound phase" if drop is None else "witness walk")
 
 

@@ -40,6 +40,8 @@ def test_solve_matches_the_enumeration_oracle(g, k):
         o = enumerate_oracle(g, k, rule, surjective)
         s = solve(g, k, rule, surjective, count_optimal=True)
         assert (s.min_bad, s.optimal_count, s.witness) == (o.min_bad, o.optimal_count, o.witness)
+        s = solve(g, k, rule, surjective)  # from the witness census when g is connected
+        assert (s.min_bad, s.witness) == (o.min_bad, o.witness)
 
 
 @settings(deadline=None)
@@ -149,6 +151,8 @@ def test_seeded_search_matches_both_oracles_on_unions(g, k):
         o = enumerate_oracle(g, k, rule, surjective)
         s = solve(g, k, rule, surjective, count_optimal=True)
         assert (s.min_bad, s.optimal_count, s.witness) == (o.min_bad, o.optimal_count, o.witness)
+        s = solve(g, k, rule, surjective)  # from the witness census when g is connected
+        assert (s.min_bad, s.witness) == (o.min_bad, o.witness)
         assert solve(g, k, rule, surjective).witness == o.witness
         assert partition_oracle(g, k, rule, surjective) == (o.min_bad, o.optimal_count)
 
@@ -168,6 +172,8 @@ def test_count_walk_matches_both_oracles_on_interleaved_unions(g, k):
         o = enumerate_oracle(g, k, rule, surjective)
         s = solve(g, k, rule, surjective, count_optimal=True)
         assert (s.min_bad, s.optimal_count, s.witness) == (o.min_bad, o.optimal_count, o.witness)
+        s = solve(g, k, rule, surjective)  # from the witness census when g is connected
+        assert (s.min_bad, s.witness) == (o.min_bad, o.witness)
         assert solve(g, k, rule, surjective).witness == o.witness
         assert partition_oracle(g, k, rule, surjective) == (o.min_bad, o.optimal_count)
 

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from nearcolor import (
     bad_edges,
     chromatic_number,
     complete,
+    corona,
     count_optimal,
     cycle,
     disjoint_union,
@@ -94,15 +96,21 @@ def test_count_optimal_known_values():
     assert count_optimal(complete(5), 3, RuleMode.ONE_CLASS) == 60
 
 
-def test_count_optimal_runs_no_witness_walk(monkeypatch):
+def searches_of(monkeypatch):
+    """The phases of the ``solver._search`` calls made from here on, in order."""
     phases = []
     search = solver._search
 
     def recording(*args, **kwargs):
-        phases.append(phase(*args, **kwargs).split()[0])
+        phases.append(phase(*args, **kwargs))
         return search(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_search", recording)
+    return phases
+
+
+def test_count_optimal_runs_no_witness_walk(monkeypatch):
+    phases = searches_of(monkeypatch)
     g = disjoint_union(cycle(5), wheel(4)[0])[0]
     for rule, surjective in itertools.product(RuleMode, (True, False)):
         phases.clear()
@@ -110,11 +118,16 @@ def test_count_optimal_runs_no_witness_walk(monkeypatch):
         assert phases == ["census", "census"]  # one search per component, no bound phase
         phases.clear()
         assert solve(g, 2, rule, surjective, count_optimal=True).optimal_count == count
-        assert phases == ["census", "census", "witness"]
+        assert phases == ["census", "census", "witness walk"]
 
 
-def test_solve_agrees_with_oracle_on_seeded_instances():
-    # Dense graphs and k = 4 are where the look-ahead bound prunes most.
+def test_solve_agrees_with_oracle_on_seeded_instances(monkeypatch):
+    # Dense graphs and k = 4 are where the look-ahead bound prunes most.  A
+    # witness-only solve takes the witness from the witness census; with its
+    # tie cap at 1 or 0 it leaves more of them to the index-order walk.
+    phases = searches_of(monkeypatch)
+    settled = Counter()  # (tie cap, the searches a witness-only solve ran)
+    cap = solver._TIES
     rng = random.Random(99)
     for p in [0.3] * 8 + [0.6] * 8 + [0.9] * 8:
         g = random_connected_graph(rng, rng.randint(4, 8), p)
@@ -128,10 +141,70 @@ def test_solve_agrees_with_oracle_on_seeded_instances():
                         s.optimal_count,
                         s.witness,
                     )
+                    for ties in (cap, 1, 0):
+                        monkeypatch.setattr(solver, "_TIES", ties)
+                        phases.clear()
+                        s = solve(g, k, rule, surjective)
+                        assert (s.min_bad, s.witness) == (o.min_bad, o.witness)
+                        settled[ties, tuple(phases)] += 1
                     optima = [c.assignment for c in optimal_colorings(g, k, rule, surjective)]
                     assert optima == sorted(optima)
                     assert len(optima) == o.optimal_count
                     assert optima[0] == o.witness.assignment
+    # Cap 0 leaves every census's witness to the walk; the lower the cap, the
+    # more it leaves there.
+    both = ("witness census", "witness walk")
+    assert settled[0, ("witness census",)] == 0 < settled[cap, both] < settled[1, both] < settled[0, both]
+
+
+def test_identity_order_families_take_the_least_optimum_from_the_census(monkeypatch):
+    # Degree order is index order on these graphs, so the witness census
+    # keeps no ties and no walk follows.  Each is past the oracle's reach;
+    # optimal_colorings walks its optima in index order, least first.
+    phases = searches_of(monkeypatch)
+    ring = corona(cycle(6), complete(3))[0]
+    cases = [(cycle(101), 2, RuleMode), (wheel(41)[0], 2, [RuleMode.ONE_CLASS]), (wheel(41)[0], 3, RuleMode),
+             (helm(31)[0], 2, [RuleMode.ONE_CLASS]), (ring, 2, RuleMode)]
+    for g, k, rules in cases:
+        assert solver._degree_order(g) == list(range(g.n))
+        for rule, surjective in itertools.product(rules, (True, False)):
+            least = next(optimal_colorings(g, k, rule, surjective))
+            phases.clear()
+            s = solve(g, k, rule, surjective)
+            assert phases == ["witness census"]
+            assert (s.min_bad, s.witness) == (bad_edges(g, least).count, least)
+
+
+def test_witness_walk_follows_a_census_whose_tie_cap_fires(monkeypatch):
+    # Ten pendants at indices 0-9 hang on a K4 at 10-13, which degree order
+    # puts first, so the census order shares no prefix with index order.
+    # At k = 3 the minimum is 1 with 6,144 canonical optima, so the census
+    # passes its tie cap and the walk finds the witness at the proven minimum.
+    g = Graph(14, tuple((i, 10 + i % 4) for i in range(10)) + tuple(itertools.combinations(range(10, 14), 2)))
+    phases = searches_of(monkeypatch)
+    capped = (solver._TIES, ["witness census", "witness walk"])
+    for rule, surjective in itertools.product(RuleMode, (True, False)):
+        least = next(optimal_colorings(g, 3, rule, surjective))
+        for ties, searches in (capped, (10**4, ["witness census"])):
+            monkeypatch.setattr(solver, "_TIES", ties)
+            phases.clear()
+            s = solve(g, 3, rule, surjective)
+            assert phases == searches
+            assert (s.min_bad, s.witness) == (1, least)
+
+
+def test_search_shares_one_row_among_vertices_without_neighbours():
+    # A 3000 x 3000 counter table would take about 70 MiB before the first
+    # placement; the isolated vertices share one row instead.
+    g = Graph(3000)
+    tracemalloc.start()
+    try:
+        res = solve(g, 3000, surjective=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.min_bad == 0 and res.witness.assignment == (1,) * 3000
+    assert peak < 8 * 2**20
 
 
 def test_partition_oracle_agrees_with_solve_and_enumeration():
@@ -555,13 +628,14 @@ def test_one_work_budget_covers_every_search_of_a_call(monkeypatch):
     monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 54)
     with pytest.raises(SizeLimitError):
         chromatic_number(complete(6))
-    # k_chromatic_subgraph(K5, 3) makes 48 placements to solve K5, is charged
-    # 12 for the vertex cover of the witness's 3 bad edges (four subsets
-    # tested, 3 each) and makes 9 placements for the chromatic number of the
-    # K3 left; one budget covers all three.
-    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 69)
+    # k_chromatic_subgraph(K5, 3) makes 43 placements to solve K5 (one
+    # witness census, no walk), is charged 12 for the vertex cover of the
+    # witness's 3 bad edges (four subsets tested, 3 each) and makes 9
+    # placements for the chromatic number of the K3 left; one budget covers
+    # all three.
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 64)
     assert k_chromatic_subgraph(complete(5), 3).chromatic == 3
-    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 68)
+    monkeypatch.setattr("nearcolor.solver.DEFAULT_WORK_BUDGET", 63)
     with pytest.raises(SizeLimitError):
         k_chromatic_subgraph(complete(5), 3)
 
