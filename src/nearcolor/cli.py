@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 
 from .coloring import RuleMode
 from .errors import (
@@ -253,9 +254,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for row in [CheckRow._fields, *rows]:
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     bad = has_hard_mismatch(rows)
-    counts = {}
-    for row in rows:
-        counts[row.status] = counts.get(row.status, 0) + 1
+    counts = Counter(row.status for row in rows)
     summary = ", ".join(f"{status}: {count}" for status, count in sorted(counts.items()))
     print(f"checks: {len(rows)} ({summary})")
     return 1 if bad else 0

@@ -111,17 +111,14 @@ lex-leader of a symmetry class; Crawford, Ginsberg, Luks and Roy, KR 1996).
 The witness census starts at bound H and keeps ties, but of each level of
 its incumbent it remembers only the least relabeled leaf; a leaf below the
 level starts a new one.  When it ends, the minimum is proven and the least
-leaf of its last level is the witness, so no walk runs.  Ties are bounded
-two ways.  Where the degree order equals index order on its first p
-positions, relabeling keeps the colors there and the leaves of a level come
-in ascending order of them, so a tie that differs there from the level's
-first leaf is larger than the one kept, and so is every later leaf: the
-level keeps no more ties.  On cycles, complete graphs, wheels and helms with
-a rim of 4 or more p = n, so no level keeps a tie, and the census takes the
-walk's clique credit.  Past ``_TIES`` ties a level keeps no more either,
-and if that level is the minimum, the witness walk runs at the proven
-minimum, as it does on a disconnected graph, where H is 0, and for a
-counting ``solve`` or ``optimal_colorings``.
+leaf of its last level is the witness, so no walk runs.  Where the degree
+order is index order (cycles, complete graphs, wheels and helms with a rim
+of 4 or more), relabeling changes nothing and the first leaf of a level is
+its least, so no level keeps a tie, and the census takes the walk's clique
+credit.  Elsewhere a level keeps no more ties past ``_TIES``, and if that
+level is the minimum, the witness walk runs at the proven minimum, as it
+does on a disconnected graph, where H is 0, and for a counting ``solve`` or
+``optimal_colorings``.
 
 The chromatic number comes from the same kernel: it is the smallest k for
 which a search with bound 0 and surjectivity off reaches a leaf, and the
@@ -157,7 +154,7 @@ DEFAULT_ENUM_CAP = 10**8
 # Local-search passes of greedy_heuristic; it stops earlier once a pass improves nothing.
 GREEDY_MAX_ROUNDS = 20
 # Ties one level of a witness census relabels before it leaves the witness to the walk.
-_TIES = 8
+_TIES = 6
 
 
 class _Budget:
@@ -416,16 +413,15 @@ def _optimum(
     With ``least`` and no ``key``, where ``leaf`` reads only the least
     optimum, on a connected g with H above 0 it is the witness census
     (``_least``), which hands ``leaf`` the least optimum and returns unless
-    its tie cap fired on the last level.
-    The witness walk then runs over all of g in vertex-index order with the
-    minimum of g as a fixed bound and each component's minimum as ``drop``,
-    spread by ``_cliques`` from its first vertex to its cliques, so every
-    leaf it reaches is optimal; ``leaf``
-    returns that bound to go on, or -1 to stop.  Without ``leaf`` no witness
-    walk runs.  All searches draw on ``budget``.  Returns the minimum and
-    the census (None without ``key``).  The census is the number of
-    isolated vertices and, per component with an edge, its minimum and a
-    ``Counter`` of the keys of its canonical optima.
+    the last level passed the tie cap ``_TIES``.  The witness walk then runs
+    over all of g in vertex-index order with the minimum of g as a fixed
+    bound and each component's minimum as ``drop``, spread by ``_cliques``
+    from its first vertex to its cliques, so every leaf it reaches is
+    optimal; ``leaf`` returns that bound to go on, or -1 to stop.  Without
+    ``leaf`` no witness walk runs.  All searches draw on ``budget``.
+    Returns the minimum and the census (None without ``key``).  The census
+    is the number of isolated vertices and, per component with an edge, its
+    minimum and a ``Counter`` of the keys of its canonical optima.
     """
     _check_instance(g, k, surjective)
     parts = g.components()
@@ -470,7 +466,7 @@ def _optimum(
 
 
 def _least(
-    g: Graph, k: int, rule: RuleMode, surjective: bool, order: Sequence[int], bound: int, budget: _Budget
+    g: Graph, k: int, rule: RuleMode, surjective: bool, order: list[int], bound: int, budget: _Budget
 ) -> tuple[int, tuple[int, ...] | None]:
     """The witness census of a connected g in ``order`` from ``bound``: the
     minimum and the least optimum, or None in its place when the last level
@@ -478,29 +474,24 @@ def _least(
 
     Each leaf is relabeled by first appearance in vertex-index order, the
     least member of its renaming class, and the least of a level's leaves
-    is kept.  A leaf below the level starts a new one.  While ``order``
-    equals index order on its first p positions, relabeling keeps those
-    colors, and the leaves of a level come in ascending order of them: a tie
-    that differs from the first leaf there is larger than the kept one, and
-    so is every later leaf, so the level keeps no more ties (see the module
-    docstring).  Where p = n the census runs in the walk's order and takes
-    its clique credit, with ``bound`` standing in for the minimum at the
+    is kept.  A leaf below the level starts a new one.  Where ``order`` is
+    index order, relabeling changes nothing and the first leaf of a level
+    is its least, so the level keeps no ties, and the census takes the
+    walk's clique credit, with ``bound`` standing in for the minimum at the
     first vertex, which sheds it before any cut.
     """
     n = g.n
-    p = next((i for i, v in enumerate(order) if i != v), n)
+    walk = order == list(range(n))
     drop = None
-    if p == n:  # the walk's own order, so the walk's clique credit holds too
+    if walk:  # the walk's own order, so the walk's clique credit holds too
         drop = [bound] + [0] * (n - 1)
         _cliques(g, k, [order], drop)
-    found, head, kept, ties = bound + 1, None, None, 0
+    found, kept, ties = bound + 1, None, 0
 
     def least(colors: list[int], bad: int, used: int) -> int:
-        nonlocal found, head, kept, ties
+        nonlocal found, kept, ties
         if bad < found:
-            found, head, kept, ties = bad, colors[:p], None, 0
-        elif colors[:p] != head:
-            return bad - 1
+            found, kept, ties = bad, None, 0
         ties += 1
         if ties > _TIES:
             kept = None
@@ -509,7 +500,7 @@ def _least(
         relabeled = tuple([names.setdefault(c, len(names) + 1) for c in colors])
         if kept is None or relabeled < kept:
             kept = relabeled
-        return bad if p < n else bad - 1
+        return bad - 1 if walk else bad
 
     _search(g, k, rule, surjective, order, bound, least, budget, drop)
     return found, kept

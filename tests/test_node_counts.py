@@ -35,7 +35,7 @@ from nearcolor import solver
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 PLACEMENTS = {
-    "solve-connected": {"witness census": 178_900, "witness walk": 12_138},
+    "solve-connected": {"witness census": 175_603, "witness walk": 15_210},
     "count-union": {"bound phase": 8_635, "chromatic": 1_091, "census": 16_364},
 }
 

@@ -175,11 +175,57 @@ def test_identity_order_families_take_the_least_optimum_from_the_census(monkeypa
             assert (s.min_bad, s.witness) == (bad_edges(g, least).count, least)
 
 
+def relabeled(g, new):
+    """g with each vertex v renamed ``new[v]``."""
+    return Graph(g.n, tuple((new[u], new[v]) for u, v in g.edges))
+
+
+def test_identity_and_prefix_orders_agree_with_oracle(monkeypatch):
+    # Each seeded graph is relabeled two ways: by its degree order, which
+    # then equals index order, and with its last vertex in degree order
+    # moved to position p >= 1, so that degree order and index order agree
+    # on their first p positions only.  At every tie cap a witness-only solve
+    # gives the oracle's minimum and witness.  In index order a census level
+    # keeps no tie, so from cap 1 up no walk follows it.
+    phases = searches_of(monkeypatch)
+    rng = random.Random(61)
+    relabelings = Counter()
+    for _ in range(10):
+        g = random_connected_graph(rng, rng.randint(4, 8), rng.choice((0.2, 0.5)))
+        order = solver._degree_order(g)
+        same = relabeled(g, {v: i for i, v in enumerate(order)})
+        assert solver._degree_order(same) == list(range(g.n))
+        degree = [len(a) for a in same.adj]
+        tail = [p for p in range(1, g.n - 1) if degree[p] > degree[-1]]
+        graphs = [(same, True)]
+        if tail:
+            p = rng.choice(tail)
+            moved = list(range(p)) + [g.n - 1] + list(range(p, g.n - 1))
+            prefix = relabeled(same, {v: i for i, v in enumerate(moved)})
+            agree = [i == v for i, v in enumerate(solver._degree_order(prefix))]
+            assert agree[:p + 1] == [True] * p + [False]
+            graphs.append((prefix, False))
+        for h, identity in graphs:
+            relabelings[identity] += 1
+            for k in (1, 2, 3, 4):
+                for rule, surjective in itertools.product(RuleMode, (True, False)):
+                    o = enumerate_oracle(h, k, rule, surjective)
+                    seeded = solver._greedy(h, k, rule, False, list(range(h.n)))[0] > 0
+                    for ties in (0, 1, 6):
+                        monkeypatch.setattr(solver, "_TIES", ties)
+                        phases.clear()
+                        s = solve(h, k, rule, surjective)
+                        assert (s.min_bad, s.witness) == (o.min_bad, o.witness)
+                        if identity and seeded and ties:
+                            assert phases == ["witness census"]
+    assert relabelings == {True: 10, False: 10}
+
+
 def test_witness_walk_follows_a_census_whose_tie_cap_fires(monkeypatch):
     # Ten pendants at indices 0-9 hang on a K4 at 10-13, which degree order
-    # puts first, so the census order shares no prefix with index order.
-    # At k = 3 the minimum is 1 with 6,144 canonical optima, so the census
-    # passes its tie cap and the walk finds the witness at the proven minimum.
+    # puts first, so the census order is not index order.  At k = 3 the
+    # minimum is 1 with 6,144 canonical optima, so the census passes its tie
+    # cap and the walk finds the witness at the proven minimum.
     g = Graph(14, tuple((i, 10 + i % 4) for i in range(10)) + tuple(itertools.combinations(range(10, 14), 2)))
     phases = searches_of(monkeypatch)
     capped = (solver._TIES, ["witness census", "witness walk"])
