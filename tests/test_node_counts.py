@@ -15,8 +15,8 @@ change that raises a total must say why and move its figure.
 The same replays pin the greedy seed of every component search: a digest of
 each ``solver._greedy`` call's vertex count, k, rule, bad edges and colors,
 in call order, must match the one recorded.  The searches read only the
-seed's bad-edge count, so without this pin a change to its colors would go
-unseen.
+seed's bad-edge count, or the count that ``solver._polish`` reaches from
+it, so without this pin a change to its colors could go unseen.
 
 Also replays the heuristic variants of ``perfbench/golden/cli-adjudicate.json``
 and requires their recorded colorings exactly: a change that alters the
@@ -35,7 +35,7 @@ from nearcolor import solver
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 PLACEMENTS = {
-    "solve-connected": {"witness census": 175_603, "witness walk": 15_210},
+    "solve-connected": {"witness census": 152_066, "witness walk": 15_210},
     "count-union": {"bound phase": 8_635, "chromatic": 1_091, "census": 16_364},
 }
 
@@ -96,9 +96,9 @@ def test_golden_greedy_seeds_keep_their_digest(workload, monkeypatch):
     greedy = solver._greedy
 
     def recording(g, k, rule, surjective, order):
-        bad, colors = greedy(g, k, rule, surjective, order)
+        bad, colors, tab = greedy(g, k, rule, surjective, order)
         digest.update(repr((g.n, k, rule.value, bad, colors)).encode())
-        return bad, colors
+        return bad, colors, tab
 
     monkeypatch.setattr(solver, "_greedy", recording)
     cells = json.loads((GOLDEN / f"{workload}.json").read_text(encoding="utf-8"))["cells"]
