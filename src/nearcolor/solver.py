@@ -121,16 +121,15 @@ does on a disconnected graph, where H is 0, and for a counting ``solve`` or
 ``optimal_colorings``.
 
 Every level above the minimum costs the witness census a search of its
-own, so it starts from a polished seed: ``_polish`` improves the greedy
-coloring by a short tabu descent (TabuCol; Hertz and de Werra, Computing
-1987) whose moves keep it valid, so its bad edges, at most H, still bound
-the minimum from above.  On the benchmark's 192 connected graphs it closes
-96 of the 117 units by which H exceeds the minimum under the unrestricted
-rule, and none under the one-class rule, where the greedy's own repair has
-already made every improving move the rule allows.  No other search
-polishes its seed: the components that counts and the bound reports search
-are small and their greedy seed is mostly optimal already, so there the
-polish costs more than it saves.
+own, so under the unrestricted rule, where every coloring is valid, it
+starts from a seed that ``_polish`` improves by a short tabu descent
+(TabuCol; Hertz and de Werra, Computing 1987), closing 96 of the 117 units
+by which H exceeds the minimum on the benchmark's 192 connected graphs.
+Under the one-class rule the greedy's repair already makes every improving
+move the rule allows: a polish lowered none of the 96 golden seeds, at
+about a seventh of a small solve's time, so that census starts from H.  No
+other search polishes its seed: the components of counts and bound reports
+are small and mostly seeded at their minimum, so the polish costs more.
 
 The chromatic number comes from the same kernel: it is the smallest k for
 which a search with bound 0 and surjectivity off reaches a leaf, and the
@@ -143,6 +142,8 @@ running out raises :class:`SizeLimitError` with one message.  The bound
 reports of ``families`` and the rows of ``verify`` run each search on a
 fresh default budget.  A surjective count sums k terms of up to n factors
 each, so a count with k * n above the budget is refused before any search.
+``optimal_colorings`` counts its labeled optima first and raises the same
+error when they outnumber the budget, so its output is bounded too.
 Results are deterministic.
 """
 
@@ -427,7 +428,7 @@ def _optimum(
     optimum of the component, each as ``key(sub, colors, bad, used)``.
     With ``least`` and no ``key``, where ``leaf`` reads only the least
     optimum, on a connected g with H above 0 it is the witness census
-    (``_least``): it runs at the bound that ``_polish`` lowers H to, hands
+    (``_least``): it runs from H, unrestricted from ``_polish``'s count, hands
     ``leaf`` the least optimum and returns unless the last level passed the
     tie cap ``_TIES``.  The witness walk then runs over all of g in
     vertex-index order with the minimum of g as a fixed bound and each
@@ -466,7 +467,8 @@ def _optimum(
             _search(sub, k, rule, whole, order, found, census, budget)
             tallies.append((found, seen))
         elif least and found and len(parts) == 1:
-            found = _polish(g, rule, colors, tab, found)
+            if rule is RuleMode.UNRESTRICTED:
+                found = _polish(g, colors, tab, found)
             found, witness = _least(g, k, rule, surjective, order, found, budget)
             if witness is not None:
                 leaf(list(witness), found, max(witness))
@@ -486,10 +488,10 @@ def _least(
     g: Graph, k: int, rule: RuleMode, surjective: bool, order: list[int], bound: int, budget: _Budget
 ) -> tuple[int, tuple[int, ...] | None]:
     """The witness census of a connected g in ``order`` from ``bound``, the
-    bad edges of a valid coloring (the polished greedy seed): the minimum
-    and the least optimum, or None in its place when the last level kept
-    more than ``_TIES`` ties.  Each level from ``bound`` down to the minimum
-    is searched, so a tighter ``bound`` spares the levels above it.
+    bad edges of a valid coloring (the greedy seed, polished if unrestricted):
+    the minimum and the least optimum, or None in its place when the last
+    level kept more than ``_TIES`` ties.  Each level from ``bound`` down to
+    the minimum is searched, so a tighter ``bound`` spares the levels above it.
 
     Each leaf is relabeled by first appearance in vertex-index order, the
     least member of its renaming class, and the least of a level's leaves
@@ -707,9 +709,15 @@ def optimal_colorings(
 
     Each canonical optimum from the search is expanded into its labeled
     copies, one per injective renaming of its colors into ``1..k``, before
-    the first coloring is yielded.  Only the search is charged to the
-    default work budget; the expansion is as large as the output.
+    the first coloring is yielded.  So that the expansion stays within the
+    default work budget too, the optima are counted first, as
+    ``count_optimal`` does, on the same budget as the search; more labeled
+    optima than the budget allows raise :class:`SizeLimitError` before any
+    is built.
     """
+    rule = RuleMode(rule)
+    budget = _Budget()
+    _Budget(budget.limit).charge(_count(g, k, rule, surjective, budget)[1])
     optima: list[tuple[int, ...]] = []
 
     def collect(colors: list[int], bad: int, used: int) -> int:
@@ -717,7 +725,7 @@ def optimal_colorings(
             optima.append(tuple(names[c - 1] for c in colors))
         return bad
 
-    _optimum(g, k, RuleMode(rule), surjective, _Budget(), collect)
+    _optimum(g, k, rule, surjective, budget, collect)
     optima.sort()
     for assign in optima:
         yield Coloring(assign, k)
@@ -961,22 +969,21 @@ def _greedy(
     return current, colors, tab
 
 
-def _polish(g: Graph, rule: RuleMode, colors: list[int], tab: list[list[int]], bad: int) -> int:
-    """Lower the bad edges of ``colors``, valid under ``rule`` with ``bad``
-    bad edges, by a short tabu descent (TabuCol; Hertz and de Werra,
-    Computing 1987); leave the best coloring met in ``colors`` and return
+def _polish(g: Graph, colors: list[int], tab: list[list[int]], bad: int) -> int:
+    """Lower the bad edges of ``colors``, with ``bad`` bad edges, by a short
+    tabu descent (TabuCol; Hertz and de Werra, Computing 1987) under the
+    unrestricted rule; leave the best coloring met in ``colors`` and return
     its bad edges.  ``tab`` is ``_greedy``'s table for ``colors``; its width
     bounds the colors, and the moves change it, so it is spent afterwards.
 
     Only a vertex that meets a neighbor of its own color moves.  Each step
-    takes the move that leaves the fewest bad edges and keeps the coloring
-    valid under ``rule``, the least vertex and color on a tie.  A vertex may
-    not take back a color it left for ``_TENURE`` moves unless that beats
-    the best, and the descent stops after ``_STALE`` moves without a new
-    best, so it makes at most ``_STALE`` moves per bad edge it removes, and
-    ``_STALE`` more.  Surjectivity is not kept.
+    takes the move that leaves the fewest bad edges, the least vertex and
+    color on a tie.  A vertex may not take back a color it left for
+    ``_TENURE`` moves unless that beats the best, and the descent stops
+    after ``_STALE`` moves without a new best, so it makes at most
+    ``_STALE`` moves per bad edge it removes, and ``_STALE`` more.
+    Surjectivity is not kept.
     """
-    one_class = rule is RuleMode.ONE_CLASS
     adj = g.adj
     palette = range(1, len(tab[0]))
     none = g.m + 1  # above every move's bad edges
@@ -993,8 +1000,7 @@ def _polish(g: Graph, rule: RuleMode, colors: list[int], tab: list[list[int]], b
             rest = bad - row[old]
             for c in palette:
                 nb = rest + row[c]
-                # The one-class rule lets c turn dirty only if v leaves the dirty class clean.
-                if nb < top and c != old and not (one_class and row[c] and rest):
+                if nb < top and c != old:
                     if nb < best or until.get((v, c), 0) < step:
                         top, w, to = nb, v, c
         if top == none:

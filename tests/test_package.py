@@ -176,6 +176,31 @@ def test_the_package_imports_only_the_standard_library():
     assert not outside
 
 
+def test_size_limit_error_is_raised_in_four_places():
+    # One work budget: every search, the class-size merge, the cover scan and
+    # the count that optimal_colorings checks raise through _Budget.charge.
+    # Besides it only the oracle's own cap, the up-front refusal of a
+    # surjective count with k * n over the budget and the poly digit limit raise.
+    package = Path(nearcolor.__file__).resolve().parent
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "SizeLimitError":
+                    sites.append(scope)
+            visit(child, scope)
+
+    for source in sorted(package.glob("*.py")):
+        visit(ast.parse(source.read_text(encoding="utf-8")), source.stem)
+    assert sorted(sites) == ["families._refuse_over_digits", "solver._Budget.charge", "solver._count",
+                             "solver.enumerate_oracle"]
+
+
 def test_result_records_are_named_tuples():
     result = solve(cycle(5), 2, RuleMode.ONE_CLASS)
     min_bad, witness, rule, surjective, count, exact = result
