@@ -173,6 +173,10 @@ def _cmd_solve(args: argparse.Namespace, counting: bool) -> int:
         print("note: heuristic result; bad-edge count is an upper bound, not exact", file=sys.stderr)
     else:
         result = solve(g, args.k, rule, surjective, work_budget=args.cap, count_optimal=counting)
+        if counting:
+            from .families import _refuse_over_digits
+
+            _refuse_over_digits(result.optimal_count.bit_length())
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
     if result.min_bad == 0:
         # A coloring with no bad edge is proper, so k is at least the chromatic number.
@@ -279,7 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except SizeLimitError as exc:
-        hint = " (raise it with --cap)" if hasattr(args, "cap") else ""
+        # --cap lifts the work budget, not a digit limit.
+        hint = " (raise it with --cap)" if hasattr(args, "cap") and "work budget" in str(exc) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 3
     except (InvalidParameterError, InvalidColoringError, GraphFormatError, InfeasibleError) as exc:

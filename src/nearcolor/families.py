@@ -220,8 +220,8 @@ def parse_family_spec(spec: str) -> Graph:
 # Defect polynomials
 # ---------------------------------------------------------------------------
 
-# Decimal digits a defect-polynomial value may have: printing one of 10^5
-# digits takes about 0.3 s, and the time grows with the square of the digits.
+# Decimal digits a defect-polynomial value or a printed count may have: printing
+# one of 10^5 digits takes about 0.3 s, and the time grows with the square of the digits.
 MAX_POLY_DIGITS = 10**5
 
 
@@ -231,7 +231,7 @@ def _refuse_over_digits(bits: int) -> None:
     digits = bits * 30103 // 100000  # log10(2)
     if digits > MAX_POLY_DIGITS:
         raise SizeLimitError(
-            f"the polynomial value would have about {_excerpt(digits)} digits, over the limit of {MAX_POLY_DIGITS}"
+            f"the value would have about {_excerpt(digits)} digits, over the limit of {MAX_POLY_DIGITS}"
         )
 
 

@@ -19,8 +19,8 @@ below).  The witness walk re-walks the tree in vertex-index order with the
 proven optimum as the bound, so the first leaf it reaches is the
 lexicographically smallest witness; ``solve`` stops it there, while
 ``optimal_colorings`` lets it visit every canonical optimum exactly once.
-``count_optimal`` and the bound reports return no witness, so they run no
-witness walk.
+The walk is its caller's step, which callers that return no witness
+(``count_optimal``, the bound reports) never take.
 
 The kernel breaks color symmetry: a vertex may only take a color at most
 one above the number of colors its prefix uses, so the colors in use are
@@ -141,10 +141,10 @@ of colors it is about to try, so the budget counts candidate placements;
 running out raises :class:`SizeLimitError` with one message.  The bound
 reports of ``families`` and the rows of ``verify`` run each search on a
 fresh default budget.  A surjective count sums k terms of up to n factors
-each, so a count with k * n above the budget is refused before any search.
-``optimal_colorings`` counts its labeled optima first and raises the same
-error when they outnumber the budget, so its output is bounded too.
-Results are deterministic.
+each, so before any search it charges k * n to a fresh budget of the same
+limit.  ``optimal_colorings`` charges its count of labeled optima the same
+way between its census and its walk, so it proves its minimum once and
+builds no optimum of a call it refuses.  Results are deterministic.
 """
 
 from __future__ import annotations
@@ -409,11 +409,10 @@ def _optimum(
     rule: RuleMode,
     surjective: bool,
     budget: _Budget,
-    leaf: Callable[[list[int], int, int], int] | None = None,
     key: Callable[[Graph, list[int], int, int], Hashable] | None = None,
     least: bool = False,
-) -> tuple[int, tuple[int, list[tuple[int, Counter[Hashable]]]] | None]:
-    """Proven minimum bad-edge count; ``leaf`` sees the canonical optima in order.
+) -> tuple[int, tuple[int, list[tuple[int, Counter[Hashable]]]] | None, Callable[..., None]]:
+    """Proven minimum bad-edge count, the census, and the witness walk.
 
     Rejects the instance if it is invalid.  Each connected component with an
     edge is searched on its own, relabeled densely, in degree-descending
@@ -426,19 +425,21 @@ def _optimum(
     leaf strictly below the incumbent lowers it and clears what was
     recorded, so once the search ends it has recorded every canonical
     optimum of the component, each as ``key(sub, colors, bad, used)``.
-    With ``least`` and no ``key``, where ``leaf`` reads only the least
+    With ``least`` and no ``key``, where the caller reads only the least
     optimum, on a connected g with H above 0 it is the witness census
-    (``_least``): it runs from H, unrestricted from ``_polish``'s count, hands
-    ``leaf`` the least optimum and returns unless the last level passed the
-    tie cap ``_TIES``.  The witness walk then runs over all of g in
-    vertex-index order with the minimum of g as a fixed bound and each
-    component's minimum as ``drop``, spread by ``_cliques`` from its first
-    vertex to its cliques, so every leaf it reaches is optimal; ``leaf``
-    returns that bound to go on, or -1 to stop.  Without ``leaf`` no
-    witness walk runs.  All searches draw on ``budget``.
-    Returns the minimum and the census (None without ``key``).  The census
-    is the number of isolated vertices and, per component with an edge, its
-    minimum and a ``Counter`` of the keys of its canonical optima.
+    (``_least``): it runs from H, unrestricted from ``_polish``'s count, and
+    settles the witness unless the last level passed the tie cap ``_TIES``.
+    All searches draw on ``budget``.
+    Returns the minimum, the census (None without ``key``) and ``walk``.
+    The census is the number of isolated vertices and, per component with
+    an edge, its minimum and a ``Counter`` of the keys of its canonical
+    optima.  ``walk(leaf)``, the caller's step, runs the witness walk over
+    all of g in vertex-index order with the minimum of g as a fixed bound
+    and each component's minimum as ``drop``, spread by ``_cliques`` from
+    its first vertex to its cliques, so every leaf it reaches is optimal;
+    ``leaf`` returns that bound to go on, or -1 to stop.  Where the witness
+    census settled the witness, ``walk`` hands it to ``leaf`` once instead.
+    ``walk`` runs at most once: ``_cliques`` uses up ``drop``.
     """
     _check_instance(g, k, surjective)
     parts = g.components()
@@ -471,17 +472,18 @@ def _optimum(
                 found = _polish(g, colors, tab, found)
             found, witness = _least(g, k, rule, surjective, order, found, budget)
             if witness is not None:
-                leaf(list(witness), found, max(witness))
-                return found, None
+                return found, None, lambda leaf: leaf(list(witness), found, max(witness))
         elif found:
             _search(sub, k, rule, whole, order, found - 1, improve, budget)
         drop[part[0]] = found
     best = sum(drop)
-    if leaf is not None:
+
+    def walk(leaf: Callable[[list[int], int, int], int]) -> None:
         if best:
             _cliques(g, k, parts, drop)
         _search(g, k, rule, surjective, range(g.n), best, leaf, budget, drop)
-    return best, None if key is None else (len(parts) - len(tallies), tallies)
+
+    return best, None if key is None else (len(parts) - len(tallies), tallies), walk
 
 
 def _least(
@@ -571,17 +573,14 @@ def _cliques(g: Graph, k: int, parts: list[list[int]], drop: list[int]) -> None:
                     break
 
 
-def _count(
-    g: Graph, k: int, rule: RuleMode, surjective: bool, budget: _Budget, leaf: Callable[..., int] | None = None
-) -> tuple[int, int]:
-    """The minimum and the labeled optima: each component's census tallies
-    its canonical optima by the colors they use, combined by
-    inclusion-exclusion (see the module docstring)."""
+def _count(g: Graph, k: int, rule: RuleMode, surjective: bool, budget: _Budget) -> tuple[int, int, Callable[..., None]]:
+    """The minimum, the labeled optima and ``_optimum``'s ``walk``: each
+    component's census tallies its canonical optima by the colors they use,
+    combined by inclusion-exclusion (see the module docstring)."""
     _check_instance(g, k, surjective)
-    if surjective and k * g.n > budget.limit:
-        raise SizeLimitError(f"a surjective count sums {k} terms over {g.n} vertices, "
-                             f"past the work budget of {budget.limit}")
-    best, (isolated, census) = _optimum(g, k, rule, surjective, budget, leaf, lambda sub, colors, bad, used: used)
+    if surjective:
+        _Budget(budget.limit).charge(k * g.n)
+    best, (isolated, census), walk = _optimum(g, k, rule, surjective, budget, lambda sub, colors, bad, used: used)
     # Under the one-class rule the dirty components share one color (see the module docstring).
     dirty = sum(found > 0 for found, _ in census)
     shared = max(dirty - 1, 0) if rule is RuleMode.ONE_CLASS else 0
@@ -591,8 +590,8 @@ def _count(
         return s**isolated * math.prod(optima) // s**shared
 
     if not surjective:
-        return best, within(k)
-    return best, sum((-1) ** (k - s) * math.comb(k, s) * within(s) for s in range(1, k + 1))
+        return best, within(k), walk
+    return best, sum((-1) ** (k - s) * math.comb(k, s) * within(s) for s in range(1, k + 1)), walk
 
 
 def _split(g: Graph, parts: list[list[int]]) -> list[tuple[list[int], Graph]]:
@@ -678,10 +677,11 @@ def _solve(g: Graph, k: int, rule: RuleMode, surjective: bool, budget: _Budget, 
         return -1
 
     if count:
-        best, optimal_count = _count(g, k, rule, surjective, budget, first)
+        best, optimal_count, walk = _count(g, k, rule, surjective, budget)
     else:
-        best, _ = _optimum(g, k, rule, surjective, budget, first, least=True)
+        best, _, walk = _optimum(g, k, rule, surjective, budget, least=True)
         optimal_count = None
+    walk(first)
     return SolveResult(best, Coloring(witness[0], k), rule, surjective, optimal_count)
 
 
@@ -707,17 +707,17 @@ def optimal_colorings(
 ) -> Iterator[Coloring]:
     """All optimal colorings in lexicographic assignment order.
 
-    Each canonical optimum from the search is expanded into its labeled
-    copies, one per injective renaming of its colors into ``1..k``, before
-    the first coloring is yielded.  So that the expansion stays within the
-    default work budget too, the optima are counted first, as
-    ``count_optimal`` does, on the same budget as the search; more labeled
-    optima than the budget allows raise :class:`SizeLimitError` before any
-    is built.
+    Each canonical optimum from the witness walk is expanded into its
+    labeled copies, one per injective renaming of its colors into ``1..k``,
+    before the first coloring is yielded.  First ``count_optimal``'s census
+    proves the minimum and counts the labeled optima, on the walk's default
+    work budget; more optima than that budget raise :class:`SizeLimitError`
+    before the walk starts, so the expansion stays within it too.
     """
     rule = RuleMode(rule)
     budget = _Budget()
-    _Budget(budget.limit).charge(_count(g, k, rule, surjective, budget)[1])
+    _, count, walk = _count(g, k, rule, surjective, budget)
+    _Budget(budget.limit).charge(count)
     optima: list[tuple[int, ...]] = []
 
     def collect(colors: list[int], bad: int, used: int) -> int:
@@ -725,7 +725,7 @@ def optimal_colorings(
             optima.append(tuple(names[c - 1] for c in colors))
         return bad
 
-    _optimum(g, k, rule, surjective, budget, collect)
+    walk(collect)
     optima.sort()
     for assign in optima:
         yield Coloring(assign, k)
@@ -760,7 +760,7 @@ def _class_sizes(g: Graph, k: int, rule: RuleMode) -> tuple[int, set[tuple[int, 
         return tuple(sizes), dirty
 
     budget = _Budget()
-    best, (isolated, census) = _optimum(g, k, rule, surjective, budget, None, profile)
+    best, (isolated, census), _ = _optimum(g, k, rule, surjective, budget, profile)
     if len(census) == 1 and not isolated:
         return best, {tuple(sorted(sizes + (0,) * (k - len(sizes)))) for sizes, _ in census[0][1]}
     states = {((0, False),) * k}
@@ -976,7 +976,8 @@ def _polish(g: Graph, colors: list[int], tab: list[list[int]], bad: int) -> int:
     its bad edges.  ``tab`` is ``_greedy``'s table for ``colors``; its width
     bounds the colors, and the moves change it, so it is spent afterwards.
 
-    Only a vertex that meets a neighbor of its own color moves.  Each step
+    Only a vertex that meets a neighbor of its own color moves: each step
+    scans the vertices and skips those whose row in ``tab`` shows none, and
     takes the move that leaves the fewest bad edges, the least vertex and
     color on a tie.  A vertex may not take back a color it left for
     ``_TENURE`` moves unless that beats the best, and the descent stops
@@ -987,16 +988,17 @@ def _polish(g: Graph, colors: list[int], tab: list[list[int]], bad: int) -> int:
     adj = g.adj
     palette = range(1, len(tab[0]))
     none = g.m + 1  # above every move's bad edges
-    hot = {v for v in range(g.n) if tab[v][colors[v]]}
     until: dict[tuple[int, int], int] = {}  # (v, c): the last step at which v may not take c back
     best, kept, step, stale = bad, colors[:], 0, 0
     while bad and stale < _STALE:
         step += 1
         stale += 1
         top = none
-        for v in sorted(hot):
+        for v in range(g.n):
             row = tab[v]
             old = colors[v]
+            if not row[old]:
+                continue
             rest = bad - row[old]
             for c in palette:
                 nb = rest + row[c]
@@ -1012,14 +1014,6 @@ def _polish(g: Graph, colors: list[int], tab: list[list[int]], bad: int) -> int:
             row = tab[u]
             row[old] -= 1
             row[to] += 1
-            if row[colors[u]]:
-                hot.add(u)
-            else:
-                hot.discard(u)
-        if tab[w][to]:
-            hot.add(w)
-        else:
-            hot.discard(w)
         if bad < best:
             best, kept, stale = bad, colors[:], 0
     colors[:] = kept

@@ -106,7 +106,7 @@ def _family_row(label: str, name: str, n: int, k: int, check_count: bool = True)
     want_count = check_count and claim.count is not None
     g = FAMILIES[name].build(n)
     if want_count:
-        best, count = _count(g, k, RuleMode.ONE_CLASS, True, _Budget())
+        best, count, _ = _count(g, k, RuleMode.ONE_CLASS, True, _Budget())
     else:
         best = _minimum(g, k, RuleMode.ONE_CLASS)
     claimed, computed = f"min={claim.min_bad}", f"min={best}"

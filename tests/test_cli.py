@@ -83,6 +83,18 @@ def test_poly_values_past_the_digit_limit_are_refused_before_they_are_computed(c
     assert code == 3 and f"over the limit of {MAX_POLY_DIGITS}" in err
 
 
+def test_counts_past_the_digit_limit_are_refused_before_they_are_printed(tmp_path, capsys):
+    # 100000 isolated vertices have 100000**100000 optima, 500,001 digits,
+    # whose decimal form took seconds to print; --cap does not lift the limit.
+    graph_file = tmp_path / "g.el"
+    graph_file.write_text("100000 0")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--input", str(graph_file), "--k", "100000", "--allow-unused")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert f"over the limit of {MAX_POLY_DIGITS}" in err and "--cap" not in err
+
+
 def test_huge_exact_values_print_in_full(tmp_path, capsys):
     graph_file = tmp_path / "g.el"
     graph_file.write_text("20000 0")

@@ -176,11 +176,11 @@ def test_the_package_imports_only_the_standard_library():
     assert not outside
 
 
-def test_size_limit_error_is_raised_in_four_places():
-    # One work budget: every search, the class-size merge, the cover scan and
-    # the count that optimal_colorings checks raise through _Budget.charge.
-    # Besides it only the oracle's own cap, the up-front refusal of a
-    # surjective count with k * n over the budget and the poly digit limit raise.
+def test_size_limit_error_is_raised_in_three_places():
+    # One work budget: every search, the class-size merge, the cover scan,
+    # the k * n of a surjective count and the count that optimal_colorings
+    # checks raise through _Budget.charge.  Besides it only the oracle's own
+    # cap and the digit limit of poly values and printed counts raise.
     package = Path(nearcolor.__file__).resolve().parent
     sites = []
 
@@ -197,8 +197,7 @@ def test_size_limit_error_is_raised_in_four_places():
 
     for source in sorted(package.glob("*.py")):
         visit(ast.parse(source.read_text(encoding="utf-8")), source.stem)
-    assert sorted(sites) == ["families._refuse_over_digits", "solver._Budget.charge", "solver._count",
-                             "solver.enumerate_oracle"]
+    assert sorted(sites) == ["families._refuse_over_digits", "solver._Budget.charge", "solver.enumerate_oracle"]
 
 
 def test_result_records_are_named_tuples():

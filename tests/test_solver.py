@@ -682,7 +682,7 @@ def test_surjective_count_with_k_times_n_over_the_budget_is_refused_up_front(mon
     g = disjoint_union(complete(3), Graph(97))[0]  # k * n = 5000 at k = 50
     assert solve(g, 50, work_budget=5000, count_optimal=True).optimal_count == count_optimal(g, 50)
     monkeypatch.setattr(solver, "_search", None)  # refused before any search
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=r"^exact search exceeds its work budget of 4999 "):
         solve(g, 50, work_budget=4999, count_optimal=True)
     with pytest.raises(SizeLimitError):
         count_optimal(Graph(2001), 1000)
@@ -726,7 +726,7 @@ def test_every_exact_entry_point_honours_the_cap():
 
 def test_optimal_colorings_count_their_optima_before_building_them(monkeypatch):
     # helm(9) at k = 3 has 55,296 labeled optima: counting them takes 27,857
-    # placements and the whole call 55,738, on one budget.  A budget that
+    # placements and the whole call 55,714, on one budget.  A budget that
     # cannot count them raises before any optimum is built, and one that
     # can count them raises if there are more optima than it allows.
     g = helm(9)[0]
@@ -739,12 +739,38 @@ def test_optimal_colorings_count_their_optima_before_building_them(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    for budget in (50_000, 55_737):
+    for budget in (50_000, 55_713):
         monkeypatch.setattr(solver, "DEFAULT_WORK_BUDGET", budget)
         with pytest.raises(SizeLimitError, match=f"^exact search exceeds its work budget of {budget} "):
             next(optimal_colorings(g, 3))
-    monkeypatch.setattr(solver, "DEFAULT_WORK_BUDGET", 55_738)
+    monkeypatch.setattr(solver, "DEFAULT_WORK_BUDGET", 55_714)
     assert sum(1 for _ in optimal_colorings(g, 3)) == 55_296
+
+
+def test_optimal_colorings_prove_their_minimum_once(monkeypatch):
+    # The census that counts the optima also proves the minimum, so the
+    # walk follows it with no bound phase between them.
+    phases = searches_of(monkeypatch)
+    for g, k in ((cycle(5), 2), (helm(5)[0], 3), (complete(5), 3)):
+        for rule, surjective in itertools.product(RuleMode, (True, False)):
+            phases.clear()
+            optima = list(optimal_colorings(g, k, rule, surjective))
+            assert phases == ["census", "witness walk"]
+            assert len(optima) == count_optimal(g, k, rule, surjective)
+
+
+def test_optimal_colorings_refuse_a_large_output_before_walking():
+    # 20 isolated vertices have 3**20 optima under 3 colors; their census
+    # costs nothing, and the walk that would build them never starts.
+    g = Graph(20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=r"^exact search exceeds its work budget of 2000000 "):
+            next(optimal_colorings(g, 3, surjective=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_one_work_budget_covers_every_search_of_a_call(monkeypatch):
