@@ -10,17 +10,27 @@ One search kernel, ``_search``, serves every exact entry point (``solve``,
 ``count_optimal``, ``optimal_colorings``): once per connected component,
 in static degree-descending order with pruning on the incumbent, and then,
 when a witness is wanted and that search has not settled it, once over the
-whole graph.  Where the caller reads only the minimum, each component's
-search is a bound phase; where it reads every optimum (a count, or the
-class sizes of the join and corona bounds), it is a census, which records
-every canonical optimum; where a plain ``solve`` reads the least optimum of
-a connected graph, it is a witness census, which keeps only that (see
-below).  The witness walk re-walks the tree in vertex-index order with the
-proven optimum as the bound, so the first leaf it reaches is the
+whole graph.  The witness walk re-walks the tree in vertex-index order
+with the proven optimum as the bound, so the first leaf it reaches is the
 lexicographically smallest witness; ``solve`` stops it there, while
 ``optimal_colorings`` lets it visit every canonical optimum exactly once.
 The walk is its caller's step, which callers that return no witness
 (``count_optimal``, the bound reports) never take.
+
+Every component search keeps one rule (``_census``): a leaf below the
+incumbent lowers it and clears the record, every leaf adds its key to the
+record, and the search keeps the leaf's level as its bound while the
+record holds at most a tie limit of keys, and goes one below it after
+that.  Its four uses differ only in their start, key and tie limit.  The
+bound phase, where the caller reads only the minimum, keeps no key and no
+tie, so it tightens to one below each better leaf.  The census, where the
+caller reads every optimum (a count, or the class sizes of the join and
+corona bounds), keeps every tie, so it ends with a record of every
+canonical optimum of its last level, the minimum.  The witness census,
+where a plain ``solve`` reads the least optimum of a connected graph, keys
+each leaf by its relabeling in vertex-index order and keeps at most
+``_TIES`` ties (see below).  The chromatic test starts at bound 0 with no
+key and no tie, so its first leaf, a proper coloring, cuts every branch.
 
 The kernel breaks color symmetry: a vertex may only take a color at most
 one above the number of colors its prefix uses, so the colors in use are
@@ -50,8 +60,8 @@ so the minimum is the sum of the components' minima with surjectivity off,
 under both rules: each component's dirty class can be renamed to one shared
 color, and with k <= n a vertex moved from a class of two or more into an
 unused color adds no bad edge and no dirty class, so surjectivity costs
-nothing.  The bound phase or census therefore runs once per component with
-an edge.  The witness walk still runs over the whole graph, and its
+nothing.  A component search therefore runs once per component with an
+edge.  The witness walk still runs over the whole graph, and its
 look-ahead bound also counts the minimum of every component it has not yet
 entered.
 
@@ -94,30 +104,28 @@ surjectivity off.  That coloring is valid, so H bounds the minimum from
 above, and by the argument above surjectivity does not change the minimum.
 The bound phase starts at bound H - 1, so it only has to beat H or prove it
 optimal, and it does not run at all when H is 0.  The census starts at
-bound H and keeps ties: a leaf below the incumbent lowers it and clears
-what was recorded.  One census replaces a bound phase plus a second search
-at the proven minimum, whose tree holds the bound phase's last proof, but
-it can cost more where H is above the minimum and the incumbents on the way
-down have many ties.  The heuristic and the polish (below) make no
+bound H.  One census replaces a bound phase plus a second search at the
+proven minimum, whose tree holds the bound phase's last proof, but it can
+cost more where H is above the minimum and the incumbents on the way down
+have many ties.  The heuristic and the polish (below) make no
 placements, and their polynomial work is not charged to the work budget.
 
 A plain ``solve`` of a connected graph whose H is above 0 takes its witness
 from one witness census instead of a bound phase and a walk.  The census
 visits the degree-order canonical member of every class of optimal color
-renamings.  Relabeling that member by first appearance in vertex-index
-order gives the class's lexicographically least member, so the least of the
-relabeled optima is the smallest witness, the walk's first leaf (the
-lex-leader of a symmetry class; Crawford, Ginsberg, Luks and Roy, KR 1996).
-The witness census keeps ties, but of each level of its incumbent it
-remembers only the least relabeled leaf; a leaf below the level starts a
-new one.  When it ends, the minimum is proven and the least leaf of its
-last level is the witness, so no walk runs.  Where the degree order is
-index order (cycles, complete graphs, wheels and helms with a rim of 4 or
-more), relabeling changes nothing and the first leaf of a level is its
-least, so no level keeps a tie, and the census takes the walk's clique
-credit.  Elsewhere a level keeps no more ties past ``_TIES``, and if that
-level is the minimum, the witness walk runs at the proven minimum, as it
-does on a disconnected graph, where H is 0, and for a counting ``solve`` or
+renamings.  Its key, ``_relabel``, renames that member's colors by first
+appearance in vertex-index order, which gives the class's lexicographically
+least member, so the least key of the minimum is the smallest witness, the
+walk's first leaf (the lex-leader of a symmetry class; Crawford, Ginsberg,
+Luks and Roy, KR 1996).  When the census ends, the minimum is proven, and
+unless its last level passed the tie limit, the least key of that level is
+the witness and no walk runs.  Where the degree order is index order
+(cycles, complete graphs, wheels and helms with a rim of 4 or more),
+relabeling changes nothing and the first leaf of a level is its least, so
+the tie limit is 0, the witness always settles, and the census takes the
+walk's clique credit.  Elsewhere the tie limit is ``_TIES``, and past it
+the witness walk runs at the proven minimum, as it does on a disconnected
+graph, where H is 0, and for a counting ``solve`` or
 ``optimal_colorings``.
 
 Every level above the minimum costs the witness census a search of its
@@ -131,8 +139,8 @@ about a seventh of a small solve's time, so that census starts from H.  No
 other search polishes its seed: the components of counts and bound reports
 are small and mostly seeded at their minimum, so the polish costs more.
 
-The chromatic number comes from the same kernel: it is the smallest k for
-which a search with bound 0 and surjectivity off reaches a leaf, and the
+The chromatic number comes from the same rule: it is the smallest k for
+which the chromatic test, with surjectivity off, reaches a leaf, and the
 largest over the connected components, each searched on its own.
 
 One deterministic work budget, a ``_Budget``, bounds each public call of
@@ -149,10 +157,10 @@ builds no optimum of a call it refuses.  Results are deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
-from collections import Counter
 from collections.abc import Hashable
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -166,7 +174,7 @@ DEFAULT_WORK_BUDGET = 2 * 10**6
 DEFAULT_ENUM_CAP = 10**8
 # Local-search passes of greedy_heuristic; it stops earlier once a pass improves nothing.
 GREEDY_MAX_ROUNDS = 20
-# Ties one level of a witness census relabels before it leaves the witness to the walk.
+# Tie limit of a witness census outside index order; past it the witness walk runs.
 _TIES = 6
 # Moves a vertex may not take back a color it left, and moves without a new
 # best before the polish of a witness census's seed stops.
@@ -411,7 +419,7 @@ def _optimum(
     budget: _Budget,
     key: Callable[[Graph, list[int], int, int], Hashable] | None = None,
     least: bool = False,
-) -> tuple[int, tuple[int, list[tuple[int, Counter[Hashable]]]] | None, Callable[..., None]]:
+) -> tuple[int, tuple[int, list[tuple[int, dict[Hashable, int]]]] | None, Callable[..., None]]:
     """Proven minimum bad-edge count, the census, and the witness walk.
 
     Rejects the instance if it is invalid.  Each connected component with an
@@ -419,20 +427,19 @@ def _optimum(
     order, from the greedy coloring's bad-edge count H (surjectivity off).
     Surjectivity is off there unless g is connected: the sum of the
     component minima is the minimum either way (see the module docstring).
-    Without ``key`` that search is the bound phase: it runs at bound H - 1,
-    is skipped when H is 0, and tightens the bound to one below each better
-    incumbent.  With ``key`` it is the census: it runs at bound H, and a
-    leaf strictly below the incumbent lowers it and clears what was
-    recorded, so once the search ends it has recorded every canonical
-    optimum of the component, each as ``key(sub, colors, bad, used)``.
-    With ``least`` and no ``key``, where the caller reads only the least
-    optimum, on a connected g with H above 0 it is the witness census
-    (``_least``): it runs from H, unrestricted from ``_polish``'s count, and
-    settles the witness unless the last level passed the tie cap ``_TIES``.
-    All searches draw on ``budget``.
+    That search is a ``_census``.  Without ``key`` it is the bound phase,
+    from bound H - 1 with no tie, and skipped when H is 0.  With ``key`` it
+    is the census, from H with every tie, keyed by ``key(sub, colors, bad,
+    used)``.  With ``least`` and no ``key``, where the caller reads only the
+    least optimum, on a connected g with H above 0 it is the witness
+    census: from H, unrestricted from ``_polish``'s count, keyed by
+    ``_relabel``, with tie limit 0 and the walk's clique credit where degree
+    order is index order and ``_TIES`` elsewhere; it settles the witness
+    unless its last level passed that limit.  All searches draw on
+    ``budget``.
     Returns the minimum, the census (None without ``key``) and ``walk``.
     The census is the number of isolated vertices and, per component with
-    an edge, its minimum and a ``Counter`` of the keys of its canonical
+    an edge, its minimum and the count of each key among its canonical
     optima.  ``walk(leaf)``, the caller's step, runs the witness walk over
     all of g in vertex-index order with the minimum of g as a fixed bound
     and each component's minimum as ``drop``, spread by ``_cliques`` from
@@ -444,37 +451,31 @@ def _optimum(
     _check_instance(g, k, surjective)
     parts = g.components()
     drop = [0] * g.n
-    tallies: list[tuple[int, Counter[Hashable]]] = []
-
-    def improve(colors: list[int], bad: int, used: int) -> int:
-        nonlocal found
-        found = bad
-        return bad - 1
-
-    def census(colors: list[int], bad: int, used: int) -> int:
-        nonlocal found
-        if bad < found:
-            found = bad
-            seen.clear()
-        seen[key(sub, colors, bad, used)] += 1
-        return bad
-
+    tallies: list[tuple[int, dict[Hashable, int]]] = []
     whole = surjective and len(parts) == 1
     for part, sub in _split(g, parts):
         order = _degree_order(sub)
         found, colors, tab = _greedy(sub, k, rule, False, order)
         if key is not None:
-            seen: Counter[Hashable] = Counter()
-            _search(sub, k, rule, whole, order, found, census, budget)
+            found, seen = _census(sub, k, rule, whole, order, found, budget, functools.partial(key, sub), math.inf)
             tallies.append((found, seen))
         elif least and found and len(parts) == 1:
             if rule is RuleMode.UNRESTRICTED:
                 found = _polish(g, colors, tab, found)
-            found, witness = _least(g, k, rule, surjective, order, found, budget)
-            if witness is not None:
+            index = order == list(range(g.n))
+            credit = None
+            # In the walk's own order the walk's clique credit holds too, the
+            # seed standing in for the minimum at the first vertex, which
+            # sheds it before any cut.
+            if index:
+                credit = [found] + [0] * (g.n - 1)
+                _cliques(g, k, parts, credit)
+            found, seen = _census(g, k, rule, surjective, order, found, budget, _relabel, 0 if index else _TIES, credit)
+            if index or len(seen) <= _TIES:
+                witness = min(seen)
                 return found, None, lambda leaf: leaf(list(witness), found, max(witness))
         elif found:
-            _search(sub, k, rule, whole, order, found - 1, improve, budget)
+            found = _census(sub, k, rule, whole, order, found - 1, budget)[0]
         drop[part[0]] = found
     best = sum(drop)
 
@@ -486,47 +487,50 @@ def _optimum(
     return best, None if key is None else (len(parts) - len(tallies), tallies), walk
 
 
-def _least(
-    g: Graph, k: int, rule: RuleMode, surjective: bool, order: list[int], bound: int, budget: _Budget
-) -> tuple[int, tuple[int, ...] | None]:
-    """The witness census of a connected g in ``order`` from ``bound``, the
-    bad edges of a valid coloring (the greedy seed, polished if unrestricted):
-    the minimum and the least optimum, or None in its place when the last
-    level kept more than ``_TIES`` ties.  Each level from ``bound`` down to
-    the minimum is searched, so a tighter ``bound`` spares the levels above it.
+def _census(
+    g: Graph,
+    k: int,
+    rule: RuleMode,
+    surjective: bool,
+    order: Sequence[int],
+    bound: int,
+    budget: _Budget,
+    key: Callable[[list[int], int, int], Hashable] | None = None,
+    ties: int | float = 0,
+    drop: Sequence[int] | None = None,
+) -> tuple[int, dict[Hashable, int]]:
+    """``_search`` from ``bound`` under the one rule of every component
+    search (see the module docstring): a leaf below the incumbent lowers it
+    and clears the record, every leaf adds ``key(colors, bad, used)``, or
+    None without ``key``, to the record, and the leaf's level stays the
+    bound while the record holds at most ``ties`` keys; past that the bound
+    drops to one below it.
 
-    Each leaf is relabeled by first appearance in vertex-index order, the
-    least member of its renaming class, and the least of a level's leaves
-    is kept.  A leaf below the level starts a new one.  Where ``order`` is
-    index order, relabeling changes nothing and the first leaf of a level
-    is its least, so the level keeps no ties, and the census takes the
-    walk's clique credit, with ``bound`` standing in for the minimum at the
-    first vertex, which sheds it before any cut.
-    """
-    n = g.n
-    walk = order == list(range(n))
-    drop = None
-    if walk:  # the walk's own order, so the walk's clique credit holds too
-        drop = [bound] + [0] * (n - 1)
-        _cliques(g, k, [order], drop)
-    found, kept, ties = bound + 1, None, 0
+    Returns the incumbent, ``bound + 1`` if no leaf was reached, and the
+    record, the count of each key among the incumbent's leaves.  Where the
+    last level passed ``ties`` keys, the record holds its first ``ties + 1``
+    leaves only.  ``drop`` is ``_search``'s credit."""
+    found, seen = bound + 1, {}
 
-    def least(colors: list[int], bad: int, used: int) -> int:
-        nonlocal found, kept, ties
+    def leaf(colors: list[int], bad: int, used: int) -> int:
+        nonlocal found
         if bad < found:
-            found, kept, ties = bad, None, 0
-        ties += 1
-        if ties > _TIES:
-            kept = None
-            return bad - 1
-        names: dict[int, int] = {}
-        relabeled = tuple([names.setdefault(c, len(names) + 1) for c in colors])
-        if kept is None or relabeled < kept:
-            kept = relabeled
-        return bad - 1 if walk else bad
+            found = bad
+            seen.clear()
+        name = None if key is None else key(colors, bad, used)
+        seen[name] = seen.get(name, 0) + 1
+        return bad if len(seen) <= ties else bad - 1
 
-    _search(g, k, rule, surjective, order, bound, least, budget, drop)
-    return found, kept
+    _search(g, k, rule, surjective, order, bound, leaf, budget, drop)
+    return found, seen
+
+
+def _relabel(colors: list[int], bad: int, used: int) -> tuple[int, ...]:
+    """The witness census's key: ``colors`` with its colors renamed by first
+    appearance in vertex-index order, the least member of its renaming class
+    (the lex-leader; Crawford, Ginsberg, Luks and Roy, KR 1996)."""
+    names: dict[int, int] = {}
+    return tuple([names.setdefault(c, len(names) + 1) for c in colors])
 
 
 def _cliques(g: Graph, k: int, parts: list[list[int]], drop: list[int]) -> None:
@@ -631,20 +635,10 @@ def chromatic_number(g: Graph) -> int:
 
 def _chromatic(g: Graph, budget: _Budget) -> int:
     """``chromatic_number`` on ``budget``; a graph with an edge starts at k = 2."""
-
-    def proper(colors: list[int], bad: int, used: int) -> int:
-        nonlocal found
-        found = True
-        return -1
-
     k = 2 if g.m else 1  # one color never colors an edge properly
     for _, sub in _split(g, g.components()):
         order = _degree_order(sub)
-        found = False
-        while True:
-            _search(sub, k, RuleMode.UNRESTRICTED, False, order, 0, proper, budget)
-            if found:
-                break
+        while _census(sub, k, RuleMode.UNRESTRICTED, False, order, 0, budget)[0]:
             k += 1
     return k
 

@@ -2,15 +2,19 @@
 
 Replays every variant of ``perfbench/golden/solve-connected.json`` and
 ``perfbench/golden/count-union.json`` (read only), checks each answer against
-the recorded one, and sums the candidate placements that ``solver._search``
-makes, per phase: the degree-ordered bound phase, the chromatic-number
-searches, the witness census that takes a connected ``solve``'s witness, the
-index-order witness walk (which ``count_optimal`` and the union, join and
-corona bounds skip, and a witness census leaves out unless its tie cap
-fires) and the census of each component, which counting and the class sizes
-of the join and corona bounds read.  The ceiling is the sum of the recorded
-phase totals; when it is broken, the failure names each phase that grew.  A
-change that raises a total must say why and move its figure.
+the recorded one, and sums the candidate placements of each search per
+phase, as the ``searches`` fixture of ``tests/conftest.py`` names them.
+Every component search is one ``solver._census`` with its own start, key
+and tie limit: the degree-ordered bound phase (no key, no tie), the census
+of each component (every tie), which counting and the class sizes of the
+join and corona bounds read, the witness census that takes a connected
+``solve``'s witness (keyed by ``solver._relabel``) and the chromatic-number
+searches.  The index-order witness walk is ``solver._search`` itself;
+``count_optimal`` and the union, join and corona bounds skip it, and a
+witness census leaves it out unless its tie limit fires.  The ceiling is
+the sum of the recorded phase totals; when it is broken, the failure names
+each phase that grew.  A change that raises a total must say why and move
+its figure.
 
 The same replays pin the greedy seed of every component search: a digest of
 each ``solver._greedy`` call's vertex count, k, rule, bad edges and colors,
@@ -63,28 +67,14 @@ def replay(cell, v):
     return None if all(getattr(report, f) == want for f, want in v["report"].items()) else v["id"]
 
 
-def phase(g, k, rule, surjective, order, bound, leaf, budget, drop=None):
-    """The phase of one ``solver._search`` call: the census, the witness
-    census and the chromatic number have leaves of their own."""
-    own = {"census": "census", "least": "witness census", "proper": "chromatic"}
-    return own.get(leaf.__name__, "bound phase" if drop is None else "witness walk")
-
-
 @pytest.mark.parametrize("workload", sorted(PLACEMENTS))
-def test_golden_placements_stay_under_their_ceiling(workload, monkeypatch):
-    spent_in: Counter[str] = Counter()
-    search = solver._search
-
-    def counting(*args, **kwargs):
-        budget = args[7]
-        before = budget.spent
-        search(*args, **kwargs)
-        spent_in[phase(*args, **kwargs)] += budget.spent - before
-
-    monkeypatch.setattr(solver, "_search", counting)
+def test_golden_placements_stay_under_their_ceiling(workload, searches):
     cells = json.loads((GOLDEN / f"{workload}.json").read_text(encoding="utf-8"))["cells"]
     wrong = [replay(cell, v) for cell in cells for v in cell["variants"]]
     assert [w for w in wrong if w] == []
+    spent_in: Counter[str] = Counter()
+    for phase, placements in searches:
+        spent_in[phase] += placements
     recorded = PLACEMENTS[workload]
     grown = {phase: n for phase, n in spent_in.items() if n > recorded.get(phase, 0)}
     assert sum(spent_in.values()) <= sum(recorded.values()), f"placements grew in {grown}"

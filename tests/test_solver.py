@@ -40,7 +40,6 @@ from nearcolor import (
 from nearcolor import solver
 from nearcolor.verify import random_connected_graph
 from partition_oracle import partition_oracle
-from test_node_counts import phase
 
 
 def brute_force(g, k, rule, surjective):
@@ -98,41 +97,33 @@ def test_count_optimal_known_values():
     assert count_optimal(complete(5), 3, RuleMode.ONE_CLASS) == 60
 
 
-def searches_of(monkeypatch):
-    """The phases of the ``solver._search`` calls made from here on, in order."""
-    phases = []
-    search = solver._search
-
-    def recording(*args, **kwargs):
-        phases.append(phase(*args, **kwargs))
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_search", recording)
-    return phases
+def phases(searches):
+    """The phases of the ``searches`` fixture's record, in order."""
+    return [phase for phase, _ in searches]
 
 
-def test_count_optimal_runs_no_witness_walk(monkeypatch):
-    phases = searches_of(monkeypatch)
+def test_count_optimal_runs_no_witness_walk(searches):
     g = disjoint_union(cycle(5), wheel(4)[0])[0]
     for rule, surjective in itertools.product(RuleMode, (True, False)):
-        phases.clear()
+        searches.clear()
         count = count_optimal(g, 2, rule, surjective)
-        assert phases == ["census", "census"]  # one search per component, no bound phase
-        phases.clear()
+        assert phases(searches) == ["census", "census"]  # one search per component, no bound phase
+        searches.clear()
         assert solve(g, 2, rule, surjective, count_optimal=True).optimal_count == count
-        assert phases == ["census", "census", "witness walk"]
+        assert phases(searches) == ["census", "census", "witness walk"]
 
 
-def test_solve_agrees_with_oracle_on_seeded_instances(monkeypatch):
+def test_solve_agrees_with_oracle_on_seeded_instances(monkeypatch, searches):
     # Dense graphs and k = 4 are where the look-ahead bound prunes most.  A
-    # witness-only solve takes the witness from the witness census; with its
-    # tie cap at 1 or 0 it leaves more of them to the index-order walk.
-    phases = searches_of(monkeypatch)
-    settled = Counter()  # (tie cap, the searches a witness-only solve ran)
+    # witness-only solve takes the witness from the witness census; outside
+    # index order, with its tie cap at 1 or 0 it leaves more of them to the
+    # index-order walk.
+    settled = Counter()  # (tie cap, degree order is index order, the searches a witness-only solve ran)
     cap = solver._TIES
     rng = random.Random(99)
     for p in [0.3] * 8 + [0.6] * 8 + [0.9] * 8:
         g = random_connected_graph(rng, rng.randint(4, 8), p)
+        identity = solver._degree_order(g) == list(range(g.n))
         for k in (1, 2, 3, 4):
             for rule in RuleMode:
                 for surjective in (True, False):
@@ -145,25 +136,27 @@ def test_solve_agrees_with_oracle_on_seeded_instances(monkeypatch):
                     )
                     for ties in (cap, 1, 0):
                         monkeypatch.setattr(solver, "_TIES", ties)
-                        phases.clear()
+                        searches.clear()
                         s = solve(g, k, rule, surjective)
                         assert (s.min_bad, s.witness) == (o.min_bad, o.witness)
-                        settled[ties, tuple(phases)] += 1
+                        settled[ties, identity, tuple(phases(searches))] += 1
                     optima = [c.assignment for c in optimal_colorings(g, k, rule, surjective)]
                     assert optima == sorted(optima)
                     assert len(optima) == o.optimal_count
                     assert optima[0] == o.witness.assignment
-    # Cap 0 leaves every census's witness to the walk; the lower the cap, the
-    # more it leaves there.
-    both = ("witness census", "witness walk")
-    assert settled[0, ("witness census",)] == 0 < settled[cap, both] < settled[1, both] < settled[0, both]
+    # Outside index order, cap 0 leaves every census's witness to the walk,
+    # and the lower the cap, the more it leaves there.  In index order the
+    # census settles the witness at every cap.
+    census, both = ("witness census",), ("witness census", "witness walk")
+    walked = [settled[ties, False, both] for ties in (cap, 1, 0)]
+    assert settled[0, False, census] == 0 < walked[0] < walked[1] < walked[2]
+    assert settled[0, True, census] > 0 == sum(settled[ties, True, both] for ties in (cap, 1, 0))
 
 
-def test_identity_order_families_take_the_least_optimum_from_the_census(monkeypatch):
+def test_identity_order_families_take_the_least_optimum_from_the_census(searches):
     # Degree order is index order on these graphs, so the witness census
     # keeps no ties and no walk follows.  Each is past the oracle's reach;
     # optimal_colorings walks its optima in index order, least first.
-    phases = searches_of(monkeypatch)
     ring = corona(cycle(6), complete(3))[0]
     cases = [(cycle(101), 2, RuleMode), (wheel(41)[0], 2, [RuleMode.ONE_CLASS]), (wheel(41)[0], 3, RuleMode),
              (helm(31)[0], 2, [RuleMode.ONE_CLASS]), (ring, 2, RuleMode)]
@@ -171,9 +164,9 @@ def test_identity_order_families_take_the_least_optimum_from_the_census(monkeypa
         assert solver._degree_order(g) == list(range(g.n))
         for rule, surjective in itertools.product(rules, (True, False)):
             least = next(optimal_colorings(g, k, rule, surjective))
-            phases.clear()
+            searches.clear()
             s = solve(g, k, rule, surjective)
-            assert phases == ["witness census"]
+            assert phases(searches) == ["witness census"]
             assert (s.min_bad, s.witness) == (bad_edges(g, least).count, least)
 
 
@@ -182,14 +175,13 @@ def relabeled(g, new):
     return Graph(g.n, tuple((new[u], new[v]) for u, v in g.edges))
 
 
-def test_identity_and_prefix_orders_agree_with_oracle(monkeypatch):
+def test_identity_and_prefix_orders_agree_with_oracle(monkeypatch, searches):
     # Each seeded graph is relabeled two ways: by its degree order, which
     # then equals index order, and with its last vertex in degree order
     # moved to position p >= 1, so that degree order and index order agree
     # on their first p positions only.  At every tie cap a witness-only solve
     # gives the oracle's minimum and witness.  In index order a census level
-    # keeps no tie, so from cap 1 up no walk follows it.
-    phases = searches_of(monkeypatch)
+    # keeps no tie and settles the witness, so at every cap no walk follows.
     rng = random.Random(61)
     relabelings = Counter()
     for _ in range(10):
@@ -215,30 +207,58 @@ def test_identity_and_prefix_orders_agree_with_oracle(monkeypatch):
                     seeded = solver._greedy(h, k, rule, False, list(range(h.n)))[0] > 0
                     for ties in (0, 1, 6):
                         monkeypatch.setattr(solver, "_TIES", ties)
-                        phases.clear()
+                        searches.clear()
                         s = solve(h, k, rule, surjective)
                         assert (s.min_bad, s.witness) == (o.min_bad, o.witness)
-                        if identity and seeded and ties:
-                            assert phases == ["witness census"]
+                        if identity and seeded:
+                            assert phases(searches) == ["witness census"]
     assert relabelings == {True: 10, False: 10}
 
 
-def test_witness_walk_follows_a_census_whose_tie_cap_fires(monkeypatch):
+def test_witness_walk_follows_a_census_whose_tie_cap_fires(monkeypatch, searches):
     # Ten pendants at indices 0-9 hang on a K4 at 10-13, which degree order
     # puts first, so the census order is not index order.  At k = 3 the
     # minimum is 1 with 6,144 canonical optima, so the census passes its tie
     # cap and the walk finds the witness at the proven minimum.
     g = Graph(14, tuple((i, 10 + i % 4) for i in range(10)) + tuple(itertools.combinations(range(10, 14), 2)))
-    phases = searches_of(monkeypatch)
     capped = (solver._TIES, ["witness census", "witness walk"])
     for rule, surjective in itertools.product(RuleMode, (True, False)):
         least = next(optimal_colorings(g, 3, rule, surjective))
-        for ties, searches in (capped, (10**4, ["witness census"])):
+        for ties, want in (capped, (10**4, ["witness census"])):
             monkeypatch.setattr(solver, "_TIES", ties)
-            phases.clear()
+            searches.clear()
             s = solve(g, 3, rule, surjective)
-            assert phases == searches
+            assert phases(searches) == want
             assert (s.min_bad, s.witness) == (1, least)
+
+
+def test_the_one_census_rule_agrees_with_the_oracle():
+    # ``_census`` in index order from bound m, keyed by ``_relabel``.  At
+    # every tie limit the incumbent is the minimum, and the record holds the
+    # first ``ties + 1`` canonical optima, or all of them; in index order a
+    # level's first key is its least, so the least key is the witness.  With
+    # every tie kept, each key stands for perm(k, colors used) optima.
+    rng = random.Random(33)
+    graphs = [random_connected_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8))) for _ in range(12)]
+    graphs += [disconnected_graph(rng, rng.randint(2, 8)) for _ in range(6)]
+    limited = Counter()  # whether the tie limit left out some optima, over the finite limits
+    for g in graphs:
+        for k, rule, surjective in itertools.product((1, 2, 3, 4), RuleMode, (True, False)):
+            if surjective and k > g.n:
+                continue
+            o = enumerate_oracle(g, k, rule, surjective)
+            for ties in (math.inf, 6, 1, 0):
+                found, seen = solver._census(g, k, rule, surjective, range(g.n), g.m, solver._Budget(),
+                                             solver._relabel, ties)
+                assert found == o.min_bad
+                assert min(seen) == o.witness.assignment
+                if ties == math.inf:
+                    optima = seen
+                    assert sum(math.perm(k, max(key)) for key in seen) == o.optimal_count
+                else:
+                    assert len(seen) == min(ties + 1, len(optima)) and seen.keys() <= optima.keys()
+                    limited[len(seen) < len(optima)] += 1
+    assert limited[True] and limited[False]
 
 
 def test_search_shares_one_row_among_vertices_without_neighbours():
@@ -747,15 +767,14 @@ def test_optimal_colorings_count_their_optima_before_building_them(monkeypatch):
     assert sum(1 for _ in optimal_colorings(g, 3)) == 55_296
 
 
-def test_optimal_colorings_prove_their_minimum_once(monkeypatch):
+def test_optimal_colorings_prove_their_minimum_once(searches):
     # The census that counts the optima also proves the minimum, so the
     # walk follows it with no bound phase between them.
-    phases = searches_of(monkeypatch)
     for g, k in ((cycle(5), 2), (helm(5)[0], 3), (complete(5), 3)):
         for rule, surjective in itertools.product(RuleMode, (True, False)):
-            phases.clear()
+            searches.clear()
             optima = list(optimal_colorings(g, k, rule, surjective))
-            assert phases == ["census", "witness walk"]
+            assert phases(searches) == ["census", "witness walk"]
             assert len(optima) == count_optimal(g, k, rule, surjective)
 
 
