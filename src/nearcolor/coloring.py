@@ -39,10 +39,10 @@ class Coloring(Record):
 
     def __init__(self, assignment: Iterable[int], k: int) -> None:
         assignment = tuple(assignment)
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise InvalidParameterError(f"color count must be a positive integer, got {_excerpt(k)}")
         for i, c in enumerate(assignment):
-            if not isinstance(c, int) or not 1 <= c <= k:
+            if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= k:
                 raise InvalidColoringError(f"vertex {i} has color {_excerpt(c)}, expected 1..{_excerpt(k)}")
         self._set(assignment=assignment, k=k)
 

@@ -412,7 +412,7 @@ def join_bound(
     candidates can be inadmissible and the reported slack may go negative.)
     """
     rule = RuleMode(rule)
-    if k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise InvalidParameterError(f"color count must be a positive integer, got {_excerpt(k)}")
     g, h, labels, chi_g = _smaller_chromatic_first(g, h, labels)
     t = _color_budget(k, chi_g, relaxed)

@@ -68,7 +68,7 @@ class Graph(Record):
     adj: tuple[frozenset[int], ...]
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise InvalidParameterError(f"vertex count must be a non-negative integer, got {_excerpt(n)}")
         _check_vertex_limit(n)
         seen: set[Edge] = set()

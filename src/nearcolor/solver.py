@@ -44,16 +44,32 @@ colors stands for ``math.perm(k, j)`` labeled optima, which is how counts
 and the full list of optima are formed.
 
 The kernel also prunes on an admissible look-ahead bound, in the style of
-forward checking.  For each vertex w not yet placed it keeps a row: the
-placed neighbors of w with color c in slot c, and their least, ``low(w)``,
-in slot 0.  Whatever color w takes, it adds at least ``low(w)`` bad edges
-against the vertices already placed, and each edge is counted once, at its
-later endpoint, so the bad edges of any completion are at least the placed
-ones plus the sum of ``low`` over the unplaced vertices.  A branch is cut
-only when that sum exceeds the bound.  The symmetry rule, the one-class
-rule and surjectivity only remove choices, so the bound stays admissible in
-all four rule and surjectivity settings: every leaf within the bound is
-still reached, in the same order.
+forward checking (Haralick and Elliott, Artif. Intell. 1980).  For each
+vertex w not yet placed it keeps a row: the count of placed neighbors of w
+with each color, and their least, ``low(w)``.  Whatever color w takes, it
+adds at least ``low(w)`` bad edges against the vertices already placed,
+and each edge is counted once, at its later endpoint, so the bad edges of
+any completion are at least the placed ones plus the sum of ``low`` over
+the unplaced vertices.  A branch is cut only when that sum exceeds the
+bound.  The symmetry rule, the one-class rule and surjectivity only remove
+choices, so the bound stays admissible in all four rule and surjectivity
+settings: every leaf within the bound is still reached, in the same order.
+
+A row is a small integer, a state of a transition table for the search's
+width w = min(k, n) (``_Rows``): each state is a count vector, interned
+when first reached, with its ``low`` and, per color, its count, the state
+one more neighbor of that color leads to, whether that step raises
+``low``, and the step back.  A placement then costs one lookup and one
+store per later neighbor.  A row's counts sum to at most the maximum
+degree d, so a table holds at most ``comb(d + w, w)`` states of w colors.
+A search takes tables only where w times that is within ``_ROW_STATES``
+(``_line``; d is counted as at least 1), which the input decides: every
+other search, as on wide dense graphs, keeps each row as a list updated in
+place, and both forms visit the same nodes.  Tables are kept per thread and
+shared by the searches of every call, because a small search that built
+its own would spend more on interning than the tables save; a search that
+finds its thread's memo above ``_ROW_STATES`` slots (colors times states)
+in all starts a new, empty one.  No result depends on the memo.
 
 The search splits at connected components.  No edge crosses a component,
 so the minimum is the sum of the components' minima with surjectivity off,
@@ -161,6 +177,7 @@ import functools
 import itertools
 import math
 import sys
+import threading
 from collections.abc import Hashable
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -179,6 +196,9 @@ _TIES = 6
 # Moves a vertex may not take back a color it left, and moves without a new
 # best before the polish of a witness census's seed stops.
 _TENURE, _STALE = 7, 8
+# Slots (colors times states) of one look-ahead table, and of one thread's memo of them.
+_ROW_STATES = 2**16
+_memo = threading.local()
 
 
 class _Budget:
@@ -190,7 +210,7 @@ class _Budget:
 
     def __init__(self, limit: int | None = None) -> None:
         self.limit = DEFAULT_WORK_BUDGET if limit is None else limit
-        if self.limit < 1:
+        if not isinstance(self.limit, int) or isinstance(self.limit, bool) or self.limit < 1:
             raise InvalidParameterError(f"work budget --cap must be positive, got {_excerpt(self.limit)}")
         self.spent = 0
 
@@ -217,7 +237,7 @@ class SolveResult(NamedTuple):
 
 
 def _check_instance(g: Graph, k: int, surjective: bool) -> None:
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise InvalidParameterError(f"color count must be a positive integer, got {_excerpt(k)}")
     if surjective and k > g.n:
         raise InfeasibleError(
@@ -279,6 +299,93 @@ def enumerate_oracle(
     )
 
 
+class _Memo(dict):
+    """One thread's look-ahead tables (``_Rows``) by width, and ``slots``,
+    the colors times states they hold in all."""
+
+    slots = 0
+
+
+class _Rows:
+    """The look-ahead rows of one width as states of a transition table.
+
+    A state is a row's count vector, interned on first use, and ``low[s]``
+    is its least count.  ``tops[t]`` holds, for each color c of 1..t, c and
+    four lists indexed by state: the count of c; the state after one more
+    neighbor of color c, -1 until ``grow`` first takes that step; 1 where c
+    is a least color, which at the state a step of c leads to says that the
+    step raised ``low``; and the state after one fewer neighbor of color c,
+    filled in by ``grow``'s step.  Every slot is added to ``memo.slots``."""
+
+    __slots__ = ("memo", "index", "vecs", "low", "tops")
+
+    def __init__(self, width: int, memo: _Memo) -> None:
+        self.memo = memo
+        self.index: dict[tuple[int, ...], int] = {}
+        self.vecs: list[tuple[int, ...]] = []
+        self.low: list[int] = []
+        palette = tuple((c, [], [], [], []) for c in range(1, width + 1))
+        self.tops = tuple(palette[:t] for t in range(width + 1))
+        self._state((0,) * width)
+
+    def _state(self, vec: tuple[int, ...]) -> int:
+        s = self.index.get(vec)
+        if s is None:
+            s = self.index[vec] = len(self.vecs)
+            self.vecs.append(vec)
+            low = min(vec, default=0)
+            self.low.append(low)
+            for (_, cnt, inc, up, dec), x in zip(self.tops[-1], vec):
+                cnt.append(x)
+                inc.append(-1)
+                up.append(int(x == low))
+                dec.append(-1)
+            self.memo.slots += len(vec)
+        return s
+
+    def grow(self, c: int, x: int) -> int:
+        vec = self.vecs[x]
+        y = self._state(vec[: c - 1] + (vec[c - 1] + 1,) + vec[c:])
+        _, _, inc, _, dec = self.tops[-1][c - 1]
+        inc[x], dec[y] = y, x
+        return y
+
+
+@functools.lru_cache(maxsize=256)
+def _line(width: int, slots: int) -> int:
+    """The largest maximum degree d of a search whose rows take tables:
+    ``width * comb(max(d, 1) + width, width) <= slots``, or -1 if none.  A
+    row's counts sum to at most d, so at most ``comb(d + width, width)``
+    states exist, and a table of admitted searches never holds more than
+    ``slots`` slots.  Counting d as at least 1 also keeps ``tops``, about
+    width**2 / 2 entries, below ``slots``."""
+    lo, hi = -1, slots // max(width, 1)  # width * comb(d + width, width) >= width * (d + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if width * math.comb(max(mid, 1) + width, width) <= slots:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _rows(width: int, adj: Sequence[frozenset[int]]) -> _Rows | None:
+    """This thread's table of ``width``, or None where the maximum degree of
+    ``adj`` is past ``_line``.  A memo holding more than ``_ROW_STATES``
+    slots is first replaced by an empty one."""
+    line = _line(width, _ROW_STATES)
+    # A degree is below the vertex count, so the maximum is needed only past it.
+    if len(adj) > line + 1 and max(map(len, adj)) > line:
+        return None
+    memo = getattr(_memo, "rows", None)
+    if memo is None or memo.slots > _ROW_STATES:
+        memo = _memo.rows = _Memo()
+    rows = memo.get(width)
+    if rows is None:
+        rows = memo[width] = _Rows(width, memo)
+    return rows
+
+
 def _search(
     g: Graph,
     k: int,
@@ -303,12 +410,21 @@ def _search(
     The look-ahead bound is the sum of ``low`` over the vertices not yet
     placed (see the module docstring).  It is admissible: an unplaced w
     gains at least ``low(w)`` bad edges whatever color it takes, and the
-    rules only remove colors.  Each vertex has a row: slot c counts its
-    placed neighbors with color c and slot 0 holds ``low``, the least of
-    them.  Placing v at color c takes ``low(v)`` out of the sum and adds one
-    to slot c of each later neighbor's row, which raises that row's
-    ``low`` by one when no other color held the least; backtracking undoes
-    both.  The conflicts of v at c are slot c of v's row.
+    rules only remove colors.  Each vertex has a row: the count of its
+    placed neighbors with each color, and ``low``, the least of them.
+    Placing v at color c takes ``low(v)`` out of the sum and adds one to
+    count c of each later neighbor's row, which raises that row's ``low``
+    by one when no other color held the least; backtracking undoes both.
+    The conflicts of v at c are count c of v's row.
+
+    Where the maximum degree is within ``_line`` of the width min(k, n),
+    a row is a state of this thread's ``_Rows`` table of that width (see
+    the module docstring), so a placement costs one lookup and one store
+    per later neighbor, and it stops as soon as the rows it raised exceed
+    the bound's slack, undoing only the rows it touched.  Elsewhere a row is
+    the list ``[low, count of color 1, ..., count of color width]``,
+    updated in place.  Both forms reach the same nodes and leaves in the
+    same order and charge the same placements.
 
     ``drop[i]`` (all 0 when omitted) is a credit at position i; the
     look-ahead bound starts at ``sum(drop)`` and sheds ``drop[i]`` when
@@ -346,56 +462,114 @@ def _search(
     # row keeps a zero among its first n colors, so wider rows change nothing.
     width = min(k, n)
     adj = g.adj
-    # cnt[w] = [least count, placed neighbors of w with color 1, ..., width].
-    # Nothing writes the row of a vertex without neighbors, so they share one.
-    isolated = [0] * (width + 1)
-    cnt = [[0] * (width + 1) if a else isolated for a in adj]
-    later = [[cnt[u] for u in adj[v] if pos[u] > i] for i, v in enumerate(order)]
     spent, room = 0, budget.limit - budget.spent
+    # In both kernels ``dirty`` is the one class allowed to hold a bad edge,
+    # 0 = none yet, and ``lb`` is the sum of ``low`` over the unplaced vertices.
+    rows = _rows(width, adj)
+    if rows is not None:
+        # st[w]: the state of w's row; later[i]: the neighbors of the vertex
+        # at position i that come after it.
+        st = [0] * n
+        later = [[u for u in adj[v] if pos[u] > i] for i, v in enumerate(order)]
+        low, tops, grow = rows.low, rows.tops, rows.grow
 
-    def dfs(i: int, bad: int, used: int, dirty: int, lb: int) -> None:
-        # ``dirty`` is the one class allowed to hold a bad edge; 0 = none yet.
-        # ``lb`` is the sum of the least counts of the vertices not yet placed.
-        nonlocal bound, spent
-        if i == n:
-            if not surjective or used == k:
-                bound = leaf(colors, bad, used)
-            return
-        if surjective and k - used > n - i:
-            return
-        top = used + 1 if used < k else k
-        spent += top
-        if spent > room:
-            budget.charge(spent)
-        v = order[i]
-        row = cnt[v]
-        rest = lb - row[0] - drop[i]
-        ahead = later[i]
-        for c in range(1, top + 1):
-            conflicts = row[c]
-            nb = bad + conflicts
-            if nb + rest > bound:
-                continue
-            nd = dirty
-            if conflicts and one_class:
-                if dirty and dirty != c:
+        def dfs(i: int, bad: int, used: int, dirty: int, lb: int) -> None:
+            nonlocal bound, spent
+            if i == n:
+                if not surjective or used == k:
+                    bound = leaf(colors, bad, used)
+                return
+            if surjective and k - used > n - i:
+                return
+            top = used + 1 if used < k else k
+            spent += top
+            if spent > room:
+                budget.charge(spent)
+            v = order[i]
+            s = st[v]
+            rest = lb - low[s] - drop[i]
+            ahead = later[i]
+            for c, cnt, inc, up, dec in tops[top]:
+                conflicts = cnt[s]
+                nb = bad + conflicts
+                slack = bound - nb - rest
+                if slack < 0:
                     continue
-                nd = c
-            raised = 0
-            for r in ahead:
-                x = r[c]
-                r[c] = x + 1
-                if x == r[0] and r.count(x) == 1:
-                    r[0] = x + 1
-                    raised += 1
-            if nb + rest + raised <= bound:
-                colors[v] = c
-                dfs(i + 1, nb, used + (c > used), nd, rest + raised)
-            for r in ahead:
-                x = r[c] - 1
-                r[c] = x
-                if x < r[0]:
-                    r[0] = x
+                nd = dirty
+                if conflicts and one_class:
+                    if dirty and dirty != c:
+                        continue
+                    nd = c
+                raised = 0
+                for w in ahead:
+                    y = inc[st[w]]
+                    if y < 0:
+                        y = grow(c, st[w])
+                    st[w] = y
+                    if up[y]:
+                        raised += 1
+                        if raised > slack:
+                            break
+                else:
+                    colors[v] = c
+                    dfs(i + 1, nb, used + (c > used), nd, rest + raised)
+                    for w in ahead:
+                        st[w] = dec[st[w]]
+                    continue
+                # Cut at row w: undo the rows up to it.
+                for u in ahead:
+                    st[u] = dec[st[u]]
+                    if u == w:
+                        break
+
+    else:
+        # cnt[w] = [least count, placed neighbors of w with color 1, ..., width].
+        # Nothing writes the row of a vertex without neighbors, so they share one.
+        isolated = [0] * (width + 1)
+        cnt = [[0] * (width + 1) if a else isolated for a in adj]
+        later = [[cnt[u] for u in adj[v] if pos[u] > i] for i, v in enumerate(order)]
+
+        def dfs(i: int, bad: int, used: int, dirty: int, lb: int) -> None:
+            nonlocal bound, spent
+            if i == n:
+                if not surjective or used == k:
+                    bound = leaf(colors, bad, used)
+                return
+            if surjective and k - used > n - i:
+                return
+            top = used + 1 if used < k else k
+            spent += top
+            if spent > room:
+                budget.charge(spent)
+            v = order[i]
+            row = cnt[v]
+            rest = lb - row[0] - drop[i]
+            ahead = later[i]
+            for c in range(1, top + 1):
+                conflicts = row[c]
+                nb = bad + conflicts
+                if nb + rest > bound:
+                    continue
+                nd = dirty
+                if conflicts and one_class:
+                    if dirty and dirty != c:
+                        continue
+                    nd = c
+                raised = 0
+                for r in ahead:
+                    x = r[c]
+                    r[c] = x + 1
+                    if x == r[0] and r.count(x) == 1:
+                        r[0] = x + 1
+                        raised += 1
+                if nb + rest + raised <= bound:
+                    colors[v] = c
+                    dfs(i + 1, nb, used + (c > used), nd, rest + raised)
+                for r in ahead:
+                    x = r[c] - 1
+                    r[c] = x
+                    if x < r[0]:
+                        r[0] = x
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + n)

@@ -18,6 +18,13 @@ before it reaches the K4.  The seeded graphs are drawn by one
 ``random.Random(2026)`` for ``random_connected_graph(rng, n, (d - 2) / (n -
 1))``, two graphs per (n, d), for n = 40, 60, 80 and d = 3, 4 in that
 order; a row names the (n, d) and which of its two graphs it takes.
+
+The search keeps its look-ahead rows in tables where the maximum degree is
+within the line of its width (``solver._line``) and in lists past it, so
+some rows sit on each side: K30 at k = 3 (degree 29, line 48) and K20 at
+k = 4 (19, line 22) run on tables, and the ``random.Random(3)`` graph on 30
+vertices, each pair an edge with probability 0.3, at k = 6 (14, line 10)
+on lists.
 """
 
 import itertools
@@ -36,6 +43,11 @@ BOTH = ONE + FREE
 
 def pendant_k4(m):
     return Graph(m + 4, tuple((i, m + i % 4) for i in range(m)) + tuple(itertools.combinations(range(m, m + 4), 2)))
+
+
+def sparse30():
+    rng = random.Random(3)
+    return Graph(30, tuple(e for e in itertools.combinations(range(30), 2) if rng.random() < 0.3))
 
 
 def seeded(index):
@@ -59,6 +71,9 @@ ROWS = [
     ("K13", lambda: complete(13), 3, ONE, (55, 1_067)),
     ("K13", lambda: complete(13), 3, FREE, (22, 70_122)),
     ("K14", lambda: complete(14), 3, ONE, (66, 1_339)),
+    ("K20", lambda: complete(20), 4, ONE, (136, 23_723)),
+    ("K30", lambda: complete(30), 3, ONE, (378, 13_443)),
+    ("random(3) n = 30, p = 0.3", sparse30, 6, FREE, (0, 1_331)),
     ("pendant-first K4, m = 14", lambda: pendant_k4(14), 3, BOTH, (1, 51_520)),
     ("seeded n = 40, d = 4, first", lambda: seeded(2), 3, ONE, (1, 3_441)),
     ("seeded n = 40, d = 4, first", lambda: seeded(2), 3, FREE, (1, 3_309)),
@@ -89,3 +104,9 @@ def test_witness_only_solves_keep_their_minimum_and_placements(label, build, k, 
         result = solver._solve(g, k, rule, surjective, budget)
         assert result.min_bad == best, (rule, surjective)
         assert budget.spent <= placements, f"{label} {rule.value} surjective={surjective} grew to {budget.spent}"
+
+
+def test_rows_on_both_sides_of_the_table_line():
+    assert solver._rows(3, complete(30).adj) is not None
+    assert solver._rows(4, complete(20).adj) is not None
+    assert solver._rows(6, sparse30().adj) is None

@@ -98,6 +98,16 @@ def test_graph_equality_ignores_its_adjacency():
     (lambda: RuleMode("one_class"), InvalidParameterError,
      "rule must be 'one-class' or 'unrestricted', got 'one_class'"),
     (lambda: solve(path(3), 1, work_budget=0), InvalidParameterError, "work budget --cap must be positive, got 0"),
+    # bool is an int subclass, and a string or float budget is no count of placements.
+    (lambda: Graph(True), InvalidParameterError, "vertex count must be a non-negative integer, got True"),
+    (lambda: Coloring([1], True), InvalidParameterError, "color count must be a positive integer, got True"),
+    (lambda: Coloring([True], 1), InvalidColoringError, "vertex 0 has color True, expected 1..1"),
+    (lambda: solve(cycle(5), True), InvalidParameterError, "color count must be a positive integer, got True"),
+    (lambda: join_bound(path(2), path(2), True), InvalidParameterError,
+     "color count must be a positive integer, got True"),
+    (lambda: solve(path(3), 2, work_budget="5"), InvalidParameterError, "work budget --cap must be positive, got '5'"),
+    (lambda: solve(path(3), 2, work_budget=2.5), InvalidParameterError, "work budget --cap must be positive, got 2.5"),
+    (lambda: solve(path(3), 2, work_budget=True), InvalidParameterError, "work budget --cap must be positive, got True"),
     (lambda: FamilyResult("path", 2, 1, -1, 1), InvalidParameterError,
      "minimum bad-edge count cannot be negative"),
     (lambda: FamilyResult("path", 2, 1, 1, 0), InvalidParameterError,

@@ -1,9 +1,11 @@
 """The enumeration oracle, the branch-and-bound engine, and their agreement."""
 
+import functools
 import itertools
 import math
 import random
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -263,7 +265,8 @@ def test_the_one_census_rule_agrees_with_the_oracle():
 
 def test_search_shares_one_row_among_vertices_without_neighbours():
     # A 3000 x 3000 counter table would take about 70 MiB before the first
-    # placement; the isolated vertices share one row instead.
+    # placement; the isolated vertices share one row instead.  3000 colors
+    # are past the line of look-ahead tables, so this search keeps list rows.
     g = Graph(3000)
     tracemalloc.start()
     try:
@@ -273,6 +276,163 @@ def test_search_shares_one_row_among_vertices_without_neighbours():
         tracemalloc.stop()
     assert res.min_bad == 0 and res.witness.assignment == (1,) * 3000
     assert peak < 8 * 2**20
+
+
+def kernel_graphs():
+    """Seeded graphs on 1 to 12 vertices, about a third of them disconnected."""
+    rng = random.Random(34)
+    for n in (1, 2, 4, 6, 8, 9, 10, 12):
+        for p in (0.25, 0.5, 0.85):
+            yield Graph(n, tuple(e for e in itertools.combinations(range(n), 2) if rng.random() < p))
+
+
+def kernel_trace(g, k, rule, surjective):
+    """Every leaf ``(colors, bad, used)`` of a fixed set of searches, in order,
+    with the placements each made or "over budget": censuses in degree order
+    from bound m keyed by ``_relabel`` at tie limits 0, 6 and unlimited, so
+    that leaves lower the bound mid-search, and the index-order walk at the
+    minimum with each component's minimum spread by ``_cliques`` as its
+    ``drop``, which sheds credit as it goes."""
+    trace = []
+
+    def key(colors, bad, used):
+        trace.append((tuple(colors), bad, used))
+        return solver._relabel(colors, bad, used)
+
+    def leaf(colors, bad, used):
+        trace.append((tuple(colors), bad, used))
+        return bad
+
+    def every_optimum(budget):
+        solver._optimum(g, k, rule, surjective, budget)[2](leaf)
+
+    searches = [functools.partial(solver._census, g, k, rule, surjective, solver._degree_order(g), g.m,
+                                  key=key, ties=ties) for ties in (0, 6, math.inf)]
+    for search in searches + [every_optimum]:
+        budget = solver._Budget(20_000)
+        try:
+            search(budget=budget)
+        except SizeLimitError:
+            trace.append("over budget")
+        trace.append(budget.spent)
+    return trace
+
+
+def test_table_rows_visit_the_same_leaves_as_list_rows(monkeypatch):
+    # The list-row kernel is the reference: a table of no slots admits no
+    # search.  Both kernels must meet the same leaves in the same order and
+    # make the same placements, also when a search runs out of budget.
+    compared = leaves = over = 0
+    for g in kernel_graphs():
+        for k in range(1, 6):
+            for rule, surjective in itertools.product(RuleMode, (True, False)):
+                if surjective and k > g.n:
+                    continue
+                assert solver._rows(min(k, g.n), g.adj) is not None
+                tables = kernel_trace(g, k, rule, surjective)
+                monkeypatch.setattr(solver, "_ROW_STATES", 0)
+                assert solver._rows(min(k, g.n), g.adj) is None
+                assert kernel_trace(g, k, rule, surjective) == tables
+                monkeypatch.undo()
+                compared += 1
+                leaves += sum(isinstance(x, tuple) for x in tables)
+                over += tables.count("over budget")
+    assert compared == 432 and leaves > 300_000 and over > 0
+
+
+def memo_tables():
+    """The widths and slots of this thread's look-ahead tables."""
+    memo = getattr(solver._memo, "rows", {})
+    return {width: len(rows.vecs) * width for width, rows in memo.items()}
+
+
+def table_workload():
+    """Seeded graphs of up to 14 vertices, with maximum degrees from 1 to
+    13, and complete graphs of up to 10, each at k = 2 to 4."""
+    rng = random.Random(11)
+    graphs = [Graph(n, tuple(e for e in itertools.combinations(range(n), 2) if rng.random() < p))
+              for n, p in itertools.product((6, 10, 14), (0.2, 0.5, 0.9))]
+    for g in graphs + [complete(n) for n in (4, 6, 8, 10)]:
+        for k in (2, 3, 4):
+            yield g, k
+
+
+def test_look_ahead_tables_stay_within_their_slots(monkeypatch):
+    # A small limit makes the tables reach it: a width-2 table admits a
+    # maximum degree of 9 (2 * comb(11, 2) = 110 slots), a width-3 table 4
+    # and a width-4 table 2.
+    monkeypatch.setattr(solver, "_memo", threading.local())
+    monkeypatch.setattr(solver, "_ROW_STATES", 120)
+    assert (solver._line(2, 120), solver._line(3, 120), solver._line(4, 120)) == (9, 4, 2)
+    memos, fullest = set(), Counter()
+    for g, k in table_workload():
+        for rule in RuleMode:
+            solver._solve(g, k, rule, False, solver._Budget(), count=True)
+            tables = memo_tables()
+            assert all(slots <= 120 for slots in tables.values()), tables
+            assert solver._memo.rows.slots == sum(tables.values())
+            memos.add(id(solver._memo.rows))
+            for width, slots in tables.items():
+                fullest[width] = max(fullest[width], slots)
+    # The memo was replaced once it held more than 120 slots, and the width-2
+    # table came close to its bound.
+    assert len(memos) > 1 and fullest[2] > 80
+
+
+def test_searches_past_the_line_build_no_table(monkeypatch):
+    monkeypatch.setattr(solver, "_memo", threading.local())
+    rng = random.Random(1)
+    g = Graph(60, tuple(e for e in itertools.combinations(range(60), 2) if rng.random() < 0.5))
+    assert max(map(len, g.adj)) > solver._line(8, solver._ROW_STATES) == 7
+    for rule in RuleMode:
+        with pytest.raises(SizeLimitError):
+            solve(g, 8, rule, work_budget=10**5)
+    assert memo_tables() == {}
+    assert solve(path(5), 2).min_bad == 0 and set(memo_tables()) == {2}
+
+
+def table_results(before_each=lambda: None):
+    """Each workload call's result and placements."""
+    out = []
+    for g, k in table_workload():
+        for rule, surjective in itertools.product(RuleMode, (True, False)):
+            before_each()
+            budget = solver._Budget()
+            out.append((solver._solve(g, k, rule, surjective, budget, count=True), budget.spent))
+    return out
+
+
+def test_results_do_not_depend_on_the_memo(monkeypatch):
+    monkeypatch.setattr(solver, "_memo", threading.local())
+    cold = table_results()
+    warm = table_results()
+    assert memo_tables() and warm == cold
+    assert table_results(lambda: monkeypatch.setattr(solver, "_memo", threading.local())) == cold
+
+
+def test_threads_keep_their_own_tables_and_agree_with_one_thread(monkeypatch):
+    # Each thread grows its own tables from empty while the others run.
+    monkeypatch.setattr(solver, "_memo", threading.local())
+    expect = table_results()
+    results, memos = [None] * 4, [None] * 4
+
+    def work(i):
+        results[i] = table_results()
+        memos[i] = id(solver._memo.rows)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expect] * 4
+    assert len(set(memos + [id(solver._memo.rows)])) == 5
 
 
 def test_partition_oracle_agrees_with_solve_and_enumeration():
