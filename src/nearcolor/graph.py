@@ -74,7 +74,7 @@ class Graph(Record):
         seen: set[Edge] = set()
         for e in edges:
             u, v = e
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (isinstance(u, int) and isinstance(v, int)) or isinstance(u, bool) or isinstance(v, bool):
                 raise InvalidParameterError(
                     f"edge endpoints must be integers, got ({_excerpt(u)}, {_excerpt(v)})"
                 )

@@ -62,8 +62,8 @@ one more neighbor of that color leads to, whether that step raises
 ``low``, and the step back.  A placement then costs one lookup and one
 store per later neighbor.  A row's counts sum to at most the maximum
 degree d, so a table holds at most ``comb(d + w, w)`` states of w colors.
-A search takes tables only where w times that is within ``_ROW_STATES``
-(``_line``; d is counted as at least 1), which the input decides: every
+A search takes tables only where w times that, with d counted as at least
+1, is within ``_ROW_STATES`` (``_admits``), which the input decides: every
 other search, as on wide dense graphs, keeps each row as a list updated in
 place, and both forms visit the same nodes.  Tables are kept per thread and
 shared by the searches of every call, because a small search that built
@@ -199,6 +199,9 @@ _TENURE, _STALE = 7, 8
 # Slots (colors times states) of one look-ahead table, and of one thread's memo of them.
 _ROW_STATES = 2**16
 _memo = threading.local()
+# Searches under way in all threads, and the recursion limit the first of them found.
+_stack_lock = threading.Lock()
+_stack = [0, 0]
 
 
 class _Budget:
@@ -351,31 +354,23 @@ class _Rows:
         return y
 
 
-@functools.lru_cache(maxsize=256)
-def _line(width: int, slots: int) -> int:
-    """The largest maximum degree d of a search whose rows take tables:
-    ``width * comb(max(d, 1) + width, width) <= slots``, or -1 if none.  A
-    row's counts sum to at most d, so at most ``comb(d + width, width)``
-    states exist, and a table of admitted searches never holds more than
-    ``slots`` slots.  Counting d as at least 1 also keeps ``tops``, about
-    width**2 / 2 entries, below ``slots``."""
-    lo, hi = -1, slots // max(width, 1)  # width * comb(d + width, width) >= width * (d + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if width * math.comb(max(mid, 1) + width, width) <= slots:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+def _admits(width: int, degree: int) -> bool:
+    """Whether a search of ``width`` and maximum degree ``degree`` takes
+    tables: ``width * comb(max(degree, 1) + width, width) <= _ROW_STATES``.
+    A row's counts sum to at most the degree, so a table never holds more
+    than ``_ROW_STATES`` slots, nor ``tops``, about width**2 / 2 entries.
+    The first test is implied by the second, and spares a wide search a
+    large ``comb``."""
+    d = max(degree, 1)
+    return width * (d + width) <= _ROW_STATES and width * math.comb(d + width, width) <= _ROW_STATES
 
 
 def _rows(width: int, adj: Sequence[frozenset[int]]) -> _Rows | None:
-    """This thread's table of ``width``, or None where the maximum degree of
-    ``adj`` is past ``_line``.  A memo holding more than ``_ROW_STATES``
+    """This thread's table of ``width``, or None where ``_admits`` refuses
+    the maximum degree of ``adj``.  A memo holding more than ``_ROW_STATES``
     slots is first replaced by an empty one."""
-    line = _line(width, _ROW_STATES)
     # A degree is below the vertex count, so the maximum is needed only past it.
-    if len(adj) > line + 1 and max(map(len, adj)) > line:
+    if not (_admits(width, len(adj) - 1) or _admits(width, max(map(len, adj)))):
         return None
     memo = getattr(_memo, "rows", None)
     if memo is None or memo.slots > _ROW_STATES:
@@ -417,9 +412,9 @@ def _search(
     by one when no other color held the least; backtracking undoes both.
     The conflicts of v at c are count c of v's row.
 
-    Where the maximum degree is within ``_line`` of the width min(k, n),
-    a row is a state of this thread's ``_Rows`` table of that width (see
-    the module docstring), so a placement costs one lookup and one store
+    Where ``_admits`` takes the maximum degree at the width min(k, n), a
+    row is a state of this thread's ``_Rows`` table of that width (see the
+    module docstring), so a placement costs one lookup and one store
     per later neighbor, and it stops as soon as the rows it raised exceed
     the bound's slack, undoing only the rows it touched.  Elsewhere a row is
     the list ``[low, count of color 1, ..., count of color width]``,
@@ -447,8 +442,11 @@ def _search(
     past it the search charges them all, which raises :class:`SizeLimitError`,
     and otherwise charges them once it ends.
 
-    The DFS goes one Python frame deeper per vertex, so the interpreter's
-    recursion limit is raised by n for the duration of the search.
+    The DFS goes one Python frame deeper per vertex, so while it runs the
+    interpreter's recursion limit is at least n above the limit the first of
+    the searches under way in all threads found.  A search only raises the
+    limit, and the last one to end restores that first value, so one thread
+    never lowers it under another's deeper search.
     """
     n = g.n
     if drop is None:
@@ -571,12 +569,18 @@ def _search(
                     if x < r[0]:
                         r[0] = x
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + n)
+    with _stack_lock:
+        if not _stack[0]:
+            _stack[1] = sys.getrecursionlimit()
+        _stack[0] += 1
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), _stack[1] + n))
     try:
         dfs(0, 0, 0, 0, sum(drop))
     finally:
-        sys.setrecursionlimit(limit)
+        with _stack_lock:
+            _stack[0] -= 1
+            if not _stack[0]:
+                sys.setrecursionlimit(_stack[1])
     budget.charge(spent)
 
 

@@ -332,6 +332,15 @@ def test_poly_subcommands(capsys):
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--family", "cycle:5", "--lambda", "3"], "--bad is required for cycle defect polynomials"),
+    (["--family", "complete:5", "--lambda", "3"], "--k is required for complete defect polynomials"),
+    (["--family", "wheel:5", "--lambda", "3", "--k", "2"], "no defect polynomial for family 'wheel'"),
+])
+def test_poly_refuses_a_missing_or_unknown_parameter(capsys, argv, error):
+    assert run(capsys, "poly", *argv) == (2, "", f"error: {error}\n")
+
+
 def test_family_subcommand(capsys):
     code, out, _ = run(capsys, "family", "--family", "complete:5", "--k", "4", "--json")
     assert code == 0

@@ -19,12 +19,12 @@ before it reaches the K4.  The seeded graphs are drawn by one
 1))``, two graphs per (n, d), for n = 40, 60, 80 and d = 3, 4 in that
 order; a row names the (n, d) and which of its two graphs it takes.
 
-The search keeps its look-ahead rows in tables where the maximum degree is
-within the line of its width (``solver._line``) and in lists past it, so
-some rows sit on each side: K30 at k = 3 (degree 29, line 48) and K20 at
-k = 4 (19, line 22) run on tables, and the ``random.Random(3)`` graph on 30
-vertices, each pair an edge with probability 0.3, at k = 6 (14, line 10)
-on lists.
+The search keeps its look-ahead rows in tables where ``solver._admits``
+takes the maximum degree at the search's width and in lists elsewhere, so
+some rows sit on each side of the largest admitted degree: K30 at k = 3
+(degree 29, largest 48) and K20 at k = 4 (19, largest 22) run on tables,
+and the ``random.Random(3)`` graph on 30 vertices, each pair an edge with
+probability 0.3, at k = 6 (14, largest 10) on lists.
 """
 
 import itertools

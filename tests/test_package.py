@@ -21,11 +21,17 @@ from nearcolor import (
     InvalidParameterError,
     RuleMode,
     SizeLimitError,
+    chromatic_number,
+    complete,
+    complete_defect_polynomial,
+    complete_formula,
     corona_formula,
     count_optimal,
     cycle,
+    cycle_defect_polynomial,
     enumerate_oracle,
     greedy_heuristic,
+    helm_formula,
     is_valid,
     join_bound,
     k_chromatic_subgraph,
@@ -34,6 +40,7 @@ from nearcolor import (
     path_formula,
     solve,
     union_bound,
+    wheel_formula,
 )
 from nearcolor.cli import main
 from nearcolor.verify import random_connected_graph
@@ -108,6 +115,16 @@ def test_graph_equality_ignores_its_adjacency():
     (lambda: solve(path(3), 2, work_budget="5"), InvalidParameterError, "work budget --cap must be positive, got '5'"),
     (lambda: solve(path(3), 2, work_budget=2.5), InvalidParameterError, "work budget --cap must be positive, got 2.5"),
     (lambda: solve(path(3), 2, work_budget=True), InvalidParameterError, "work budget --cap must be positive, got True"),
+    (lambda: Graph(3, [(False, True), (1, 2)]), InvalidParameterError,
+     "edge endpoints must be integers, got (False, True)"),
+    (lambda: wheel_formula(2, 2), InvalidParameterError, "a wheel rim needs at least 3 vertices, got 2"),
+    (lambda: helm_formula(2, 3), InvalidParameterError, "a helm rim needs at least 3 vertices, got 2"),
+    (lambda: complete_formula(1, 1), InvalidParameterError, "need at least 2 vertices, got 1"),
+    (lambda: cycle_defect_polynomial(5, 1, 0), InvalidParameterError, "need at least 1 color, got 0"),
+    (lambda: complete_defect_polynomial(1, 2, 3), InvalidParameterError, "need at least 2 vertices, got 1"),
+    (lambda: complete_defect_polynomial(5, 1, 3), InvalidParameterError, "k must lie in 2..4, got 1"),
+    (lambda: complete(0), InvalidParameterError, "a complete graph needs at least 1 vertex, got 0"),
+    (lambda: chromatic_number(Graph(0)), InvalidParameterError, "chromatic number needs at least one vertex"),
     (lambda: FamilyResult("path", 2, 1, -1, 1), InvalidParameterError,
      "minimum bad-edge count cannot be negative"),
     (lambda: FamilyResult("path", 2, 1, 1, 0), InvalidParameterError,

@@ -3,11 +3,14 @@
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -357,13 +360,26 @@ def table_workload():
             yield g, k
 
 
+def star(d, width):
+    """A star of d leaves among d + width + 2 vertices: maximum degree d,
+    on more vertices than d + 1 and than ``width``."""
+    return Graph(d + width + 2, tuple((0, v) for v in range(1, d + 1)))
+
+
+def admits(width, d):
+    """Whether a search of ``width`` at maximum degree d takes tables."""
+    return solver._rows(width, star(d, width).adj) is not None
+
+
 def test_look_ahead_tables_stay_within_their_slots(monkeypatch):
     # A small limit makes the tables reach it: a width-2 table admits a
     # maximum degree of 9 (2 * comb(11, 2) = 110 slots), a width-3 table 4
     # and a width-4 table 2.
     monkeypatch.setattr(solver, "_memo", threading.local())
     monkeypatch.setattr(solver, "_ROW_STATES", 120)
-    assert (solver._line(2, 120), solver._line(3, 120), solver._line(4, 120)) == (9, 4, 2)
+    for width, line in ((2, 9), (3, 4), (4, 2)):
+        assert admits(width, line) and not admits(width, line + 1)
+    monkeypatch.setattr(solver, "_memo", threading.local())
     memos, fullest = set(), Counter()
     for g, k in table_workload():
         for rule in RuleMode:
@@ -383,12 +399,26 @@ def test_searches_past_the_line_build_no_table(monkeypatch):
     monkeypatch.setattr(solver, "_memo", threading.local())
     rng = random.Random(1)
     g = Graph(60, tuple(e for e in itertools.combinations(range(60), 2) if rng.random() < 0.5))
-    assert max(map(len, g.adj)) > solver._line(8, solver._ROW_STATES) == 7
+    # Width 8 admits a maximum degree of 7 and no more.
+    assert max(map(len, g.adj)) > 7 and solver._rows(8, g.adj) is None
+    assert not admits(8, 8)
     for rule in RuleMode:
         with pytest.raises(SizeLimitError):
             solve(g, 8, rule, work_budget=10**5)
     assert memo_tables() == {}
-    assert solve(path(5), 2).min_bad == 0 and set(memo_tables()) == {2}
+    assert admits(8, 7) and set(memo_tables()) == {8}
+    assert solve(path(5), 2).min_bad == 0 and set(memo_tables()) == {2, 8}
+
+
+@pytest.mark.parametrize("width, line", [
+    (1, 65_535), (2, 254), (3, 48), (4, 22), (5, 14), (6, 10), (8, 7), (20, 3), (100, 1), (255, 1), (256, -1),
+])
+def test_each_width_admits_tables_up_to_its_largest_degree(monkeypatch, width, line):
+    # The largest maximum degree d with width * comb(max(d, 1) + width,
+    # width) <= 2**16; from width 256 on not even d = 0 is admitted.
+    monkeypatch.setattr(solver, "_memo", threading.local())
+    assert line < 0 or admits(width, line)
+    assert not admits(width, line + 1)
 
 
 def table_results(before_each=lambda: None):
@@ -771,6 +801,59 @@ def test_deep_searches_fit_the_interpreter_stack():
     assert count_optimal(matching, 2, RuleMode.ONE_CLASS, False) == 2**1500
     assert count_optimal(matching, 2, RuleMode.UNRESTRICTED) == 2**1500
     assert sys.getrecursionlimit() == limit
+
+
+RACE = """
+import sys, threading
+from nearcolor import RuleMode, path, solver
+
+a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+errors = []
+
+def deeper(i):
+    return i and deeper(i - 1)
+
+def a_leaf(colors, bad, used):
+    a_in.set()
+    b_in.wait(60)
+    return -1
+
+def b_leaf(colors, bad, used):
+    b_in.set()
+    a_out.wait(60)
+    deeper(50)
+    return -1
+
+def run(n, leaf, done=None):
+    try:
+        solver._search(path(n), 2, RuleMode.UNRESTRICTED, False, range(n), 0, leaf, solver._Budget())
+    except BaseException as exc:
+        errors.append(repr(exc))
+    if done is not None:
+        done.set()
+
+before = sys.getrecursionlimit()
+a = threading.Thread(target=run, args=(50, a_leaf, a_out))
+b = threading.Thread(target=run, args=(3000, b_leaf))
+a.start()
+a_in.wait(60)
+b.start()
+a.join(60)
+b.join(60)
+print(sys.getrecursionlimit() - before, errors)
+"""
+
+
+def test_a_search_ending_keeps_the_limit_another_thread_needs(tmp_path):
+    # Thread A's search on path(50) ends while thread B's leaf, 3000 frames
+    # deep on path(3000), waits for it, and then B goes 50 frames deeper.
+    # A search that restored the limit it found on entry would leave B far
+    # past the limit, which aborts the interpreter; so the race runs in a
+    # child process.
+    src = str(Path(solver.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", RACE], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr[-2000:]
 
 
 def brute_force_optima(g, k, rule, surjective):
